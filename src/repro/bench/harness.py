@@ -14,23 +14,17 @@ __all__ = ["Table", "Series", "sweep", "bench_metadata"]
 
 
 def bench_metadata() -> Dict[str, Any]:
-    """Environment + engine-flag snapshot embedded in bench reports.
+    """Environment snapshot embedded in bench reports.
 
-    Records everything needed to interpret a ``BENCH_wallclock.json``
-    after the fact: interpreter and numpy versions plus which execution
-    optimizations (vectorized shuffle writes, narrow-chain fusion,
-    columnar SQL) were enabled when the suite ran.
+    Records the interpreter and numpy versions a ``BENCH_wallclock.json``
+    was produced under.  Execution optimizations have no process-wide
+    switches, so there is no flag state to record.
     """
     import platform
     import numpy
-    from ..dataflow import fusion_enabled, shuffleio
-    from ..sql import columnar_enabled
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "fusion_enabled": fusion_enabled(),
-        "columnar_enabled": columnar_enabled(),
-        "shuffle_vectorized": shuffleio.vectorized_enabled(),
     }
 
 

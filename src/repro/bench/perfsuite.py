@@ -7,33 +7,26 @@ combine.  ``benchmarks/bench_p0_wallclock.py`` drives it and writes
 ``BENCH_wallclock.json`` so every PR leaves a comparable perf trajectory
 (SProBench-style: tracked, reproducible numbers make perf work credible).
 
-Two measurements per workload:
+Two measurements per simulated-cluster workload, both of the engine as
+shipped:
 
 * ``shuffle_write`` — records/sec through :func:`~repro.dataflow.
   shuffleio.write_buckets` on that workload's map-task outputs, exactly
   as the executors call it (one call per map task, one
-  :class:`~repro.dataflow.costmodel.SizeEstimator` per executor).  This
-  is the hot path this repo vectorizes, so it is where the headline
-  speedup is gated.  Profiling shows end-to-end simulated jobs are
-  dominated by the network-flow solver (max-min fair rate allocation),
-  which this suite deliberately excludes from the throughput number.
+  :class:`~repro.dataflow.costmodel.SizeEstimator` per executor).
+  Profiling shows end-to-end simulated jobs are dominated by the
+  network-flow solver (max-min fair rate allocation), which this suite
+  deliberately excludes from the throughput number.
 * ``end_to_end`` — a full :class:`~repro.dataflow.engine.SimEngine` job:
-  real wall seconds, simulated seconds, and the number of DES-kernel
-  events processed.  The event count is the criterion for the idle-poll
-  removal (stage loops block on the inbox instead of arming a
-  ``check_interval`` timer per wake when speculation is off).
+  real wall seconds, simulated seconds, the number of DES-kernel events
+  processed, and a digest of the result.
 
-Each measurement runs two legs:
-
-* ``current`` — vectorized ``partition_many`` + one-pass scatter,
-  memoized size estimation, inbox-driven stage waits.
-* ``baseline`` — the pre-optimization reference: per-record
-  ``partition()`` calls, per-bucket pickle sampling
-  (``shuffleio.set_vectorized(False)``), and the legacy always-armed
-  poll timer (``EngineConfig(eager_poll=True)``).
-
-Both legs compute byte-identical results (asserted on every run), so the
-ratios are pure execution-efficiency measurements.
+The execution optimizers whose reference path stays selectable per
+query or per context are A/B'd against it with byte-identical results
+asserted on every run: columnar SQL and vectorized joins
+(``collect(columnar=False)``), narrow-chain fusion
+(``DataflowContext.fusion_enabled = False``), and the vectorized
+windowed aggregator (its scalar oracle).
 """
 
 from __future__ import annotations
@@ -41,8 +34,8 @@ from __future__ import annotations
 import json
 import os
 import random
+import statistics
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster import make_cluster
@@ -57,8 +50,6 @@ from ..dataflow import (
     RangePartitioner,
     SimEngine,
     SizeEstimator,
-    fusion_enabled,
-    set_fusion,
 )
 from ..dataflow import shuffleio
 from ..dataflow.mp import default_start_method
@@ -109,7 +100,16 @@ __all__ = ["BASKET", "HEADLINE", "POOL_HEADLINE", "POOL_SWEEP",
 #: (engine map-output seals + verification on fetch) and a spill-file
 #: leg (CRC32-stamped bucket files written and read back) — with the
 #: end-to-end median ratio guarded at < 5%.
-SCHEMA_VERSION = 10
+#:
+#: v11 drops the legs whose baseline code is gone: ``shuffle_write`` and
+#: ``end_to_end`` report the shipped engine only (no ``baseline``,
+#: ``speedup``, ``wall_speedup`` or ``sim_event_reduction``), the
+#: integrity section loses its spill on/off leg, the summary loses
+#: ``records_per_sec_baseline``, ``speedup``,
+#: ``wordcount_sim_events_baseline``, ``wordcount_sim_event_reduction``
+#: and ``integrity_spill_overhead``, and ``meta`` carries only the
+#: interpreter and numpy versions.
+SCHEMA_VERSION = 11
 
 #: The fixed workload basket, in reporting order.  The first four are
 #: the simulated-cluster jobs; ``sql_analytics``, ``sql_join`` and
@@ -127,9 +127,7 @@ HEADLINE = ("wordcount", "terasort")
 #: Cost model for the end-to-end legs.  ``cpu_per_record`` is set so map
 #: tasks span many ``check_interval`` periods of simulated time — the
 #: big-data regime (tasks run seconds to minutes, the scheduler ticks
-#: every ~100 ms, as in Spark) where the legacy eager poll timer visibly
-#: churns the event queue.  Short tasks finish before the first timer
-#: would ever fire, hiding the difference.
+#: every ~100 ms, as in Spark).
 _SIM_COST = CostModel(cpu_per_record=1.5e-2, task_overhead=5e-3)
 
 #: Scheduler tick for the end-to-end legs (Spark's speculation interval
@@ -144,65 +142,33 @@ _WRITE_COST = CostModel()
 # shuffle-write throughput: the vectorized hot path
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ShuffleWriteLeg:
-    seconds: float
-    records_per_sec: float
-
-
 def _chunk(records: List, n_tasks: int) -> List[List]:
     size = (len(records) + n_tasks - 1) // n_tasks
     return [records[i:i + size] for i in range(0, len(records), size)]
 
 
-def _run_write_leg(dep: ShuffleDependency, task_outputs: List[List],
-                   vectorized: bool) -> Tuple[float, List]:
-    """One executor's worth of map tasks; returns (seconds, all buckets)."""
-    prev = shuffleio.vectorized_enabled()
-    shuffleio.set_vectorized(vectorized)
-    try:
-        estimator = SizeEstimator(_WRITE_COST) if vectorized else None
-        all_buckets = []
-        t0 = time.perf_counter()
-        for records in task_outputs:
-            buckets, _written, _nbytes = shuffleio.write_buckets(
-                dep, records, _WRITE_COST, estimator)
-            all_buckets.append(buckets)
-        return time.perf_counter() - t0, all_buckets
-    finally:
-        shuffleio.set_vectorized(prev)
-
-
 def measure_shuffle_write(dep: ShuffleDependency, task_outputs: List[List],
                           reps: int = 5) -> Dict[str, Any]:
-    """A/B-measure ``write_buckets`` over one stage's map-task outputs.
+    """Measure ``write_buckets`` over one stage's map-task outputs.
 
-    Asserts the scalar and vectorized legs produce identical buckets
-    (contents *and* order), then reports best-of-``reps`` throughput for
-    each leg and the speedup.  Legs are interleaved rep by rep so slow
-    machine-load drift hits both equally.
+    Each rep is one executor's worth of map tasks (a fresh
+    :class:`SizeEstimator`, one call per task); reports the
+    best-of-``reps`` throughput.
     """
     records = sum(len(t) for t in task_outputs)
-    times: Dict[str, List[float]] = {"baseline": [], "current": []}
-    reference: Optional[List] = None
+    best = float("inf")
     for _ in range(reps):
-        for leg, vectorized in (("baseline", False), ("current", True)):
-            secs, buckets = _run_write_leg(dep, task_outputs, vectorized)
-            times[leg].append(secs)
-            if reference is None:
-                reference = buckets
-            elif buckets != reference:
-                raise AssertionError(
-                    "scalar and vectorized shuffle writes disagree")
-    best = {leg: min(ts) for leg, ts in times.items()}
+        estimator = SizeEstimator(_WRITE_COST)
+        t0 = time.perf_counter()
+        for task_records in task_outputs:
+            shuffleio.write_buckets(dep, task_records, _WRITE_COST,
+                                    estimator)
+        best = min(best, time.perf_counter() - t0)
     return {
         "records": records,
         "map_tasks": len(task_outputs),
-        "baseline": {"seconds": best["baseline"],
-                     "records_per_sec": records / best["baseline"]},
-        "current": {"seconds": best["current"],
-                    "records_per_sec": records / best["current"]},
-        "speedup": best["baseline"] / best["current"],
+        "seconds": best,
+        "records_per_sec": records / best,
     }
 
 
@@ -264,13 +230,14 @@ _WRITE_BUILDERS: Dict[str, Callable] = {
 # end-to-end jobs: wall clock + DES event churn
 # ---------------------------------------------------------------------------
 
-def _fresh(eager_poll: bool,
-           policies=None) -> Tuple[Simulator, DataflowContext, SimEngine]:
+def _fresh(policies=None,
+           integrity: bool = True,
+           ) -> Tuple[Simulator, DataflowContext, SimEngine]:
     sim = Simulator()
     cluster = make_cluster(sim, 2, 4, host_bw=Gbit_per_s(10))
     ctx = DataflowContext(default_parallelism=16, cost_model=_SIM_COST)
-    cfg = EngineConfig(eager_poll=eager_poll, check_interval=_CHECK_INTERVAL,
-                       resilience=policies)
+    cfg = EngineConfig(check_interval=_CHECK_INTERVAL, resilience=policies,
+                       integrity=integrity)
     engine = SimEngine(cluster, config=cfg, cost_model=_SIM_COST)
     return sim, ctx, engine
 
@@ -327,50 +294,24 @@ _JOB_BUILDERS: Dict[str, Callable] = {
 }
 
 
-def _run_end_to_end_leg(name: str, scale: float,
-                        vectorized: bool) -> Dict[str, Any]:
-    """One simulated job.  The ``current`` leg runs every execution
-    optimization (vectorized shuffle writes, inbox waits, fused narrow
-    chains); ``baseline`` disables them all."""
-    prev = shuffleio.vectorized_enabled()
-    prev_fusion = fusion_enabled()
-    shuffleio.set_vectorized(vectorized)
-    set_fusion(vectorized)
-    try:
-        sim, ctx, engine = _fresh(eager_poll=not vectorized)
-        ds, n_records, digest = _JOB_BUILDERS[name](ctx, scale)
-        t0 = time.perf_counter()
-        res = sim.run_until_done(engine.collect(ds))
-        wall = time.perf_counter() - t0
-        return {
-            "records": n_records,
-            "wall_seconds": wall,
-            "sim_events": sim.events_processed,
-            "sim_seconds": res.metrics.duration,
-            "n_tasks": res.metrics.n_tasks,
-            "checksum": digest(res.value),
-        }
-    finally:
-        shuffleio.set_vectorized(prev)
-        set_fusion(prev_fusion)
-
-
 def measure_end_to_end(name: str, scale: float = 1.0) -> Dict[str, Any]:
-    """Run one basket job on a fresh simulated cluster, both legs.
+    """Run one basket job on a fresh simulated cluster.
 
-    Asserts the legs produce identical results, then reports wall
-    seconds, simulated-event counts, and the event reduction (speculation
-    is off, so the current leg never arms the per-wake poll timer).
+    Reports wall seconds, simulated seconds, simulated-event count, task
+    count, and a digest of the result.
     """
-    cur = _run_end_to_end_leg(name, scale, vectorized=True)
-    base = _run_end_to_end_leg(name, scale, vectorized=False)
-    if cur.pop("checksum") != base.pop("checksum"):
-        raise AssertionError(f"{name}: legs computed different results")
+    sim, ctx, engine = _fresh()
+    ds, n_records, digest = _JOB_BUILDERS[name](ctx, scale)
+    t0 = time.perf_counter()
+    res = sim.run_until_done(engine.collect(ds))
+    wall = time.perf_counter() - t0
     return {
-        "current": cur,
-        "baseline": base,
-        "wall_speedup": base["wall_seconds"] / cur["wall_seconds"],
-        "sim_event_reduction": 1.0 - cur["sim_events"] / base["sim_events"],
+        "records": n_records,
+        "wall_seconds": wall,
+        "sim_events": sim.events_processed,
+        "sim_seconds": res.metrics.duration,
+        "n_tasks": res.metrics.n_tasks,
+        "checksum": digest(res.value),
     }
 
 
@@ -546,25 +487,20 @@ def measure_narrow_chain(scale: float = 1.0, reps: int = 3) -> Dict[str, Any]:
     times: Dict[str, List[float]] = {"baseline": [], "current": []}
     n_records = 0
     reference: Optional[bytes] = None
-    prev = fusion_enabled()
-    try:
-        for _ in range(reps):
-            for leg, fused in (("baseline", False), ("current", True)):
-                set_fusion(fused)
-                ctx = DataflowContext(default_parallelism=8)
-                ds = _chain_dataset(ctx, scale)
-                t0 = time.perf_counter()
-                out = ds.collect()
-                times[leg].append(time.perf_counter() - t0)
-                n_records = int(250_000 * scale)
-                digest = pickle.dumps(out)
-                if reference is None:
-                    reference = digest
-                elif digest != reference:
-                    raise AssertionError(
-                        "fused and unfused pipelines disagree")
-    finally:
-        set_fusion(prev)
+    for _ in range(reps):
+        for leg, fused in (("baseline", False), ("current", True)):
+            ctx = DataflowContext(default_parallelism=8)
+            ctx.fusion_enabled = fused
+            ds = _chain_dataset(ctx, scale)
+            t0 = time.perf_counter()
+            out = ds.collect()
+            times[leg].append(time.perf_counter() - t0)
+            n_records = int(250_000 * scale)
+            digest = pickle.dumps(out)
+            if reference is None:
+                reference = digest
+            elif digest != reference:
+                raise AssertionError("fused and unfused pipelines disagree")
     best = {leg: min(ts) for leg, ts in times.items()}
     return {
         "records": n_records,
@@ -1055,8 +991,21 @@ def measure_multi_tenant_serving(scale: float = 1.0,
 
 
 # ---------------------------------------------------------------------------
-# observability overhead: the off-by-default guarantee, measured
+# overhead A/Bs: observability, resilience, integrity
 # ---------------------------------------------------------------------------
+
+def _median_ratio(times: Dict[str, List[float]], leg: str) -> float:
+    """Median over reps of ``leg`` / ``off`` wall time.
+
+    The legs of a rep run back-to-back, so ambient-load drift is shared
+    within a rep and cancels in the ratio; the median then rejects reps
+    where a load spike hit one leg but not the others.  A plain
+    ratio-of-minima is far noisier on a loaded machine: the minima of
+    different legs come from *different* moments, so they don't share a
+    load floor.
+    """
+    return statistics.median(t / o for t, o in zip(times[leg], times["off"]))
+
 
 class _NoopObserver:
     """Does the full per-dispatch observer call, records nothing."""
@@ -1130,7 +1079,7 @@ def _measure_obs_overhead_once(scale: float, reps: int,
     for rep in range(reps):
         for i in range(len(legs)):
             leg = legs[(rep + i) % len(legs)]
-            sim, ctx, engine = _fresh(eager_poll=False)
+            sim, ctx, engine = _fresh()
             tracer = registry = None
             if leg == "noop":
                 sim.attach_observer(_NoopObserver())
@@ -1163,20 +1112,6 @@ def _measure_obs_overhead_once(scale: float, reps: int,
                     f"obs leg {leg!r} computed a different result")
     best = {leg: min(ts) for leg, ts in times.items()}
 
-    # Per-rep ratios, then the median across reps.  The three legs of a
-    # rep run back-to-back (~1.5 s window), so ambient-load drift is
-    # shared within a rep and cancels in the ratio; the median then
-    # rejects reps where a load spike hit one leg but not the others.
-    # A plain ratio-of-minima is far noisier on a loaded machine: the
-    # minima of different legs come from *different* moments, so they
-    # don't share a load floor.
-    def median_ratio(leg: str) -> float:
-        ratios = sorted(t / o for t, o in zip(times[leg], times["off"]))
-        mid = len(ratios) // 2
-        if len(ratios) % 2:
-            return ratios[mid]
-        return (ratios[mid - 1] + ratios[mid]) / 2.0
-
     return {
         "workload": name,
         "records": n_records,
@@ -1185,9 +1120,9 @@ def _measure_obs_overhead_once(scale: float, reps: int,
         "traced_seconds": best["traced"],
         "traced_spans": spans,
         # the guarded number: disabled overhead <= enabled overhead
-        "enabled_overhead": median_ratio("traced") - 1.0,
+        "enabled_overhead": _median_ratio(times, "traced") - 1.0,
         # informational: one observer call per kernel dispatch (opt-in)
-        "kernel_observer_overhead": median_ratio("noop") - 1.0,
+        "kernel_observer_overhead": _median_ratio(times, "noop") - 1.0,
     }
 
 
@@ -1246,7 +1181,6 @@ def _measure_resilience_overhead_once(scale: float, reps: int,
         for i in range(len(legs)):
             leg = legs[(rep + i) % len(legs)]
             sim, ctx, engine = _fresh(
-                eager_poll=False,
                 policies=policies if leg == "armed" else None)
             ds, n_records, digest = _JOB_BUILDERS[name](ctx, scale)
             gc.collect()
@@ -1260,20 +1194,13 @@ def _measure_resilience_overhead_once(scale: float, reps: int,
                 raise AssertionError(
                     f"resilience leg {leg!r} computed a different result")
 
-    def median_ratio(leg: str) -> float:
-        ratios = sorted(t / o for t, o in zip(times[leg], times["off"]))
-        mid = len(ratios) // 2
-        if len(ratios) % 2:
-            return ratios[mid]
-        return (ratios[mid - 1] + ratios[mid]) / 2.0
-
     return {
         "workload": name,
         "records": n_records,
         "off_seconds": min(times["off"]),
         "armed_seconds": min(times["armed"]),
         # the guarded number: armed-but-idle policies vs no policies
-        "armed_overhead": median_ratio("armed") - 1.0,
+        "armed_overhead": _median_ratio(times, "armed") - 1.0,
     }
 
 
@@ -1283,19 +1210,11 @@ def measure_integrity_overhead(scale: float = 1.0, reps: int = 15,
                                guard: float = 0.05) -> Dict[str, Any]:
     """Measure what the checksummed data plane costs when nothing rots.
 
-    Two interleaved A/Bs of checksums on (the default) vs off:
-
-    * ``end_to_end`` — the same simulated job with
-      ``EngineConfig.integrity`` toggled: the on leg seals every
-      registered map-output bucket (pickle + chunk CRC32) and verifies
-      each bucket on fetch; the off leg skips both.  This is the guarded
-      number — the data plane must cost < 5% on a clean run.
-    * ``spill`` — the process-pool spill path in isolation:
-      :func:`~repro.dataflow.shuffleio.write_bucket_file` +
-      :func:`~repro.dataflow.shuffleio.read_bucket_file` over a
-      realistic bucket set with ``set_checksums`` toggled
-      (informational; the CRC rides the same buffer the pickler just
-      produced, so it is a small fraction of serialization cost).
+    An interleaved A/B of the same simulated job with
+    ``EngineConfig.integrity`` on (the default) vs off: the on leg seals
+    every registered map-output bucket (pickle + chunk CRC32) and
+    verifies each bucket on fetch; the off leg skips both.  The data
+    plane must cost < 5% on a clean run.
 
     Both legs must compute the identical result.  The measurement and
     noise handling mirror :func:`measure_obs_overhead`: legs run
@@ -1320,7 +1239,6 @@ def _measure_integrity_overhead_once(scale: float, reps: int,
                                      name: str) -> Dict[str, Any]:
     """One trial of the checksums on/off A/B (see the public wrapper)."""
     import gc
-    import tempfile
 
     times: Dict[str, List[float]] = {"off": [], "on": []}
     reference: Optional[int] = None
@@ -1329,14 +1247,7 @@ def _measure_integrity_overhead_once(scale: float, reps: int,
     for rep in range(reps):
         for i in range(len(legs)):
             leg = legs[(rep + i) % len(legs)]
-            sim = Simulator()
-            cluster = make_cluster(sim, 2, 4, host_bw=Gbit_per_s(10))
-            ctx = DataflowContext(default_parallelism=16,
-                                  cost_model=_SIM_COST)
-            cfg = EngineConfig(eager_poll=False,
-                               check_interval=_CHECK_INTERVAL,
-                               integrity=(leg == "on"))
-            engine = SimEngine(cluster, config=cfg, cost_model=_SIM_COST)
+            sim, ctx, engine = _fresh(integrity=(leg == "on"))
             ds, n_records, digest = _JOB_BUILDERS[name](ctx, scale)
             gc.collect()
             t0 = time.perf_counter()
@@ -1349,56 +1260,13 @@ def _measure_integrity_overhead_once(scale: float, reps: int,
                 raise AssertionError(
                     f"integrity leg {leg!r} computed a different result")
 
-    def median_ratio(series: Dict[str, List[float]], leg: str,
-                     base: str) -> float:
-        ratios = sorted(t / o for t, o in zip(series[leg], series[base]))
-        mid = len(ratios) // 2
-        if len(ratios) % 2:
-            return ratios[mid]
-        return (ratios[mid - 1] + ratios[mid]) / 2.0
-
-    # spill leg: CRC-stamped bucket files written + fully read back
-    rng = random.Random(23)
-    buckets = [[(f"k{rng.randrange(4000)}", rng.random())
-                for _ in range(int(2_000 * max(scale, 0.1)))]
-               for _ in range(16)]
-    spill_times: Dict[str, List[float]] = {"off": [], "on": []}
-    prev = shuffleio.checksums_enabled()
-    spill_reference: Optional[List] = None
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "spill.buckets")
-            for rep in range(reps):
-                for i in range(len(legs)):
-                    leg = legs[(rep + i) % len(legs)]
-                    shuffleio.set_checksums(leg == "on")
-                    gc.collect()
-                    t0 = time.perf_counter()
-                    offsets = shuffleio.write_bucket_file(path, buckets)
-                    got = [shuffleio.read_bucket_file(path, offsets, r)
-                           for r in range(len(buckets))]
-                    spill_times[leg].append(time.perf_counter() - t0)
-                    if spill_reference is None:
-                        spill_reference = got
-                    elif got != spill_reference:
-                        raise AssertionError(
-                            f"spill leg {leg!r} read back different data")
-    finally:
-        shuffleio.set_checksums(prev)
-
     return {
         "workload": name,
         "records": n_records,
         "off_seconds": min(times["off"]),
         "on_seconds": min(times["on"]),
         # the guarded number: sealed + verified map outputs vs neither
-        "checksum_overhead": median_ratio(times, "on", "off") - 1.0,
-        "spill_records": sum(len(b) for b in buckets),
-        "spill_off_seconds": min(spill_times["off"]),
-        "spill_on_seconds": min(spill_times["on"]),
-        # informational: CRC32 over the just-pickled buffer
-        "spill_checksum_overhead":
-            median_ratio(spill_times, "on", "off") - 1.0,
+        "checksum_overhead": _median_ratio(times, "on") - 1.0,
     }
 
 
@@ -1412,7 +1280,7 @@ def profile_end_to_end(name: str = "wordcount",
     """
     from ..obs import profile as obs_profile
 
-    sim, ctx, engine = _fresh(eager_poll=False)
+    sim, ctx, engine = _fresh()
     ds, n_records, _digest = _JOB_BUILDERS[name](ctx, scale)
     with obs_profile(sim) as prof:
         sim.run_until_done(engine.collect(ds))
@@ -1441,12 +1309,10 @@ def run_suite(scale: float = 1.0, verbose: bool = True,
         e2e = measure_end_to_end(name, scale)
         workloads[name] = {"shuffle_write": write, "end_to_end": e2e}
         if verbose:
-            cur = write["current"]["records_per_sec"]
-            print(f"{name:>15}: shuffle-write {cur:>12,.0f} rec/s "
-                  f"[{write['speedup']:.2f}x vs scalar]  "
-                  f"end-to-end {e2e['current']['wall_seconds']:.3f} s, "
-                  f"sim events "
-                  f"-{100 * e2e['sim_event_reduction']:.1f}%")
+            print(f"{name:>15}: shuffle-write "
+                  f"{write['records_per_sec']:>12,.0f} rec/s  "
+                  f"end-to-end {e2e['wall_seconds']:.3f} s, "
+                  f"{e2e['sim_events']} sim events")
     workloads["sql_analytics"] = measure_sql_analytics(scale)
     workloads["sql_join"] = measure_sql_join(scale)
     workloads["narrow_chain"] = measure_narrow_chain(scale)
@@ -1491,8 +1357,7 @@ def run_suite(scale: float = 1.0, verbose: bool = True,
     integ = measure_integrity_overhead(max(scale, 1.0))
     if verbose:
         print(f"{'integrity':>15}: checksums on "
-              f"{100 * integ['checksum_overhead']:+.1f}% end-to-end, "
-              f"{100 * integ['spill_checksum_overhead']:+.1f}% spill")
+              f"{100 * integ['checksum_overhead']:+.1f}% end-to-end")
     pool = None
     if pool_workers:
         sweep = tuple(w for w in POOL_SWEEP if w < pool_workers)
@@ -1523,10 +1388,9 @@ def run_suite(scale: float = 1.0, verbose: bool = True,
     }
     if verbose:
         s = payload["summary"]
-        print(f"{'basket':>15}: {s['records_per_sec_current']:,.0f} rec/s "
-              f"vs {s['records_per_sec_baseline']:,.0f} baseline "
-              f"= {s['speedup']:.2f}x; wordcount sim events "
-              f"-{100 * s['wordcount_sim_event_reduction']:.1f}%")
+        print(f"{'basket':>15}: {s['records_per_sec_current']:,.0f} "
+              f"rec/s shuffle-write; wordcount "
+              f"{s['wordcount_sim_events_current']} sim events")
     return payload
 
 
@@ -1537,22 +1401,13 @@ def _summarize(workloads: Dict[str, Any],
                streaming: Optional[Dict[str, Any]] = None,
                serving: Optional[Dict[str, Any]] = None,
                integ: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-    def _basket_rate(leg: str) -> float:
-        recs = sum(workloads[n]["shuffle_write"]["records"]
-                   for n in HEADLINE)
-        secs = sum(workloads[n]["shuffle_write"][leg]["seconds"]
-                   for n in HEADLINE)
-        return recs / secs
-
-    wc = workloads["wordcount"]["end_to_end"]
+    recs = sum(workloads[n]["shuffle_write"]["records"] for n in HEADLINE)
+    secs = sum(workloads[n]["shuffle_write"]["seconds"] for n in HEADLINE)
     return {
         "headline_workloads": list(HEADLINE),
-        "records_per_sec_current": _basket_rate("current"),
-        "records_per_sec_baseline": _basket_rate("baseline"),
-        "speedup": _basket_rate("current") / _basket_rate("baseline"),
-        "wordcount_sim_events_current": wc["current"]["sim_events"],
-        "wordcount_sim_events_baseline": wc["baseline"]["sim_events"],
-        "wordcount_sim_event_reduction": wc["sim_event_reduction"],
+        "records_per_sec_current": recs / secs,
+        "wordcount_sim_events_current":
+            workloads["wordcount"]["end_to_end"]["sim_events"],
         "sql_speedup": workloads["sql_analytics"]["speedup"],
         "join_speedup": workloads["sql_join"]["speedup"],
         "join_adaptive_consistent":
@@ -1565,8 +1420,6 @@ def _summarize(workloads: Dict[str, Any],
             resil["armed_overhead"] if resil else None,
         "integrity_checksum_overhead":
             integ["checksum_overhead"] if integ else None,
-        "integrity_spill_overhead":
-            integ["spill_checksum_overhead"] if integ else None,
         "pool_speedup": pool["speedup"] if pool else None,
         "pool_workers": pool["workers"] if pool else None,
         "pool_insufficient_cores":

@@ -48,8 +48,8 @@ class DataflowContext:
         self._datasets: Dict[int, Dataset] = {}
         self._next_id = 0
         self._next_shuffle_id = 0
-        #: narrow-chain fusion opt-out for this context (debugging aid);
-        #: the process-wide switch is ``repro.dataflow.fusion.set_fusion``
+        #: narrow-chain fusion for this context's jobs (default on); False
+        #: runs the per-op reference path
         self.fusion_enabled = True
         #: dataset_id -> number of child datasets consuming it; fusion
         #: treats any count > 1 as a pipeline barrier

@@ -37,7 +37,6 @@ from ..resilience import Deadline, ResiliencePolicies, RetrySession
 from ..simcore.events import Event
 from ..simcore.kernel import Simulator
 from ..simcore.resources import Store
-from . import fusion
 from ..storage import integrity
 from .costmodel import CostModel, SizeEstimator
 from .plan import Dataset, ShuffleDependency, TaskRuntime
@@ -73,9 +72,6 @@ class EngineConfig:
     speculation_multiplier: float = 1.5  # straggler threshold vs median
     speculation_min_frac: float = 0.5    # completed fraction before speculating
     check_interval: float = 0.25         # scheduler poll period (s)
-    eager_poll: bool = False             # always arm the poll timer (legacy);
-    # by default idle stages wait purely on the task inbox, so a stage with
-    # everything launched and nothing to speculate creates zero timer events
     shuffle_to_disk: bool = True         # charge disk for map output writes
     executor_memory: float = float("inf")   # bytes a task may hold in RAM;
     # shuffle input beyond it spills (one disk write + read of the excess)
@@ -437,7 +433,7 @@ class SimEngine:
                              name=f"deadline:ds{ds.dataset_id}")
         result_stage = build_stages(ds)
         stages = topo_order(result_stage)
-        if getattr(ds.ctx, "fusion_enabled", True) and fusion.fusion_enabled():
+        if ds.ctx.fusion_enabled:
             metrics.fused_segments = sum(
                 1 for s in stages for g in fusion_groups(s.dataset)
                 if len(g) > 1)
@@ -609,8 +605,7 @@ class SimEngine:
                 "is_result": stage.is_result,
                 "recovery": splits is not None,
             }
-            if getattr(stage.dataset.ctx, "fusion_enabled", True) \
-                    and fusion.fusion_enabled():
+            if stage.dataset.ctx.fusion_enabled:
                 sizes = [len(g) for g in fusion_groups(stage.dataset)
                          if len(g) > 1]
                 if sizes:
@@ -646,7 +641,7 @@ class SimEngine:
                 # which cuts simulated-event churn on large jobs.
                 hedge_armed = (hedge is not None
                                and len(durations) >= hedge.min_samples)
-                if cfg.eager_poll or cfg.speculation or pending or hedge_armed:
+                if cfg.speculation or pending or hedge_armed:
                     timer = self.sim.timeout(cfg.check_interval)
                     yield self.sim.any_of([pending_get, timer])
                 else:

@@ -12,12 +12,12 @@ Design:
 
 * **Warm workers.**  Workers are spawned once (per backend) and *primed*
   per job: they receive the serialized plan graph (source partitions
-  stripped — data rides with each task), the global execution toggles
-  (fusion / vectorized shuffle), the cost model, the accumulator set,
-  and the step shapes of the job's fused chains so every worker compiles
-  its segment cache before the first task arrives.  Priming is keyed on
-  (context, plan root, toggles, ...) and skipped when nothing changed,
-  so repeated actions on a warm pool pay zero setup.
+  stripped — data rides with each task, and the context's
+  ``fusion_enabled`` rides with the plan), the cost model, the
+  accumulator set, and the step shapes of the job's fused chains so
+  every worker compiles its segment cache before the first task arrives.
+  Priming is keyed on (context, plan root, fusion, ...) and skipped when
+  nothing changed, so repeated actions on a warm pool pay zero setup.
 * **Closure shipping.**  Plans are lambdas all the way down; the
   :mod:`~repro.dataflow.closure` pickler ships them by value (stdlib
   pickle protocol 5 with out-of-band buffers, so numpy column batches
@@ -287,10 +287,6 @@ def _do_prime(state: _WorkerState, blob: bytes, bufs: List[bytes]) -> None:
         state.shuffle_deps.clear()
         state.cache.clear()
         state.shuffle_refs.clear()
-    toggles = payload["toggles"]
-    fusion.set_fusion(toggles["fusion"])
-    shuffleio.set_vectorized(toggles["vectorized"])
-    shuffleio.set_checksums(toggles.get("checksums", True))
     fusion.prime_segments(payload["shapes"])
     state.cost = payload["cost_model"]
     state.size_est = SizeEstimator(state.cost)
@@ -581,26 +577,21 @@ class ProcessPoolBackend:
 
     def prime(self, ctx, root: Dataset, accumulators: Sequence,
               shuffle_refs: Dict[int, List]) -> None:
-        """Ship the plan graph + toggles to every worker (idempotent)."""
+        """Ship the plan graph to every worker (idempotent)."""
         datasets = _walk_datasets(root)
         key = (ctx.ctx_token, root.dataset_id, ctx._next_id,
-               fusion.fusion_enabled(), ctx.fusion_enabled,
-               shuffleio.vectorized_enabled(),
-               shuffleio.checksums_enabled(),
+               ctx.fusion_enabled,
                tuple(sorted(d.dataset_id for d in datasets if d.cached)),
                len(accumulators))
         if key == self._prime_key:
             self.ensure_started()
             return
-        fuse = fusion.fusion_enabled() and ctx.fusion_enabled
         payload = {
             "ctx_token": ctx.ctx_token,
             "root": root,
             "accumulators": list(accumulators),
-            "shapes": _plan_segment_shapes(datasets) if fuse else [],
-            "toggles": {"fusion": fusion.fusion_enabled(),
-                        "vectorized": shuffleio.vectorized_enabled(),
-                        "checksums": shuffleio.checksums_enabled()},
+            "shapes": (_plan_segment_shapes(datasets)
+                       if ctx.fusion_enabled else []),
             "cost_model": ctx.cost_model,
             "shuffle_refs": dict(shuffle_refs),
         }

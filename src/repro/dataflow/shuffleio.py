@@ -11,9 +11,8 @@ array instead of one ``partition()`` call per record.  With map-side combining, 
 are first merged into one dict (identical merge semantics, in record
 order) and only the *combined* items — typically far fewer — are
 partitioned and scattered.  Bucket contents and ordering are
-byte-identical to the scalar reference path, which is kept (behind
-:func:`set_vectorized`) for A/B benchmarking and as executable
-documentation of the semantics.
+byte-identical to a per-record ``partition()`` loop (the test suite keeps
+that loop as its reference oracle).
 
 Byte accounting goes through an optional
 :class:`~repro.dataflow.costmodel.SizeEstimator` so one map output
@@ -33,43 +32,7 @@ from ..common.errors import BucketFileError, ChecksumError
 from .costmodel import CostModel, SizeEstimator
 from .plan import ShuffleDependency
 
-__all__ = ["write_buckets", "set_vectorized", "vectorized_enabled",
-           "set_checksums", "checksums_enabled",
-           "write_bucket_file", "read_bucket_file"]
-
-# Global A/B switch: True = vectorized fast path (default), False = the
-# original scalar reference implementation.  The wall-clock perf suite
-# flips this to measure the speedup; semantics are identical either way.
-_VECTORIZED = True
-
-# Checksummed spill files: True (default) stamps a CRC32 per bucket blob
-# into the offset table and verifies it on read, turning silent bit-rot
-# in a spill file into a typed, recoverable ChecksumError.  The perf
-# suite A/Bs this switch for the <5% overhead guard.
-_CHECKSUMS = True
-
-
-def set_vectorized(enabled: bool) -> None:
-    """Select the vectorized (default) or scalar-reference shuffle path."""
-    global _VECTORIZED
-    _VECTORIZED = bool(enabled)
-
-
-def vectorized_enabled() -> bool:
-    """Whether the vectorized shuffle-write path is active."""
-    return _VECTORIZED
-
-
-def set_checksums(enabled: bool) -> None:
-    """Enable/disable bucket-file checksumming (default on)."""
-    global _CHECKSUMS
-    _CHECKSUMS = bool(enabled)
-
-
-def checksums_enabled() -> bool:
-    """Whether bucket-file payloads are checksummed."""
-    return _CHECKSUMS
-
+__all__ = ["write_buckets", "write_bucket_file", "read_bucket_file"]
 
 def _scatter(items: Sequence, part_ids: np.ndarray,
              n_out: int) -> List[List]:
@@ -122,8 +85,6 @@ def write_buckets(dep: ShuffleDependency, records: Sequence,
     cost-model estimates of the serialized bucket sizes (memoized per
     shuffle when a ``size_estimator`` is supplied).
     """
-    if not _VECTORIZED:
-        return _write_buckets_scalar(dep, records, cost)
     n_out = dep.partitioner.n_partitions
     if dep.map_side_combine and dep.aggregator is not None:
         items = _combine(dep, records)
@@ -154,23 +115,19 @@ def write_buckets(dep: ShuffleDependency, records: Sequence,
 def write_bucket_file(path: str, buckets: List[List]) -> List[Tuple]:
     """Write ``buckets`` back-to-back to ``path``.
 
-    Returns one ``(offset, length)`` pair — ``(offset, length, crc32)``
-    when checksumming is on (the default) — per bucket so a reader can
-    fetch a single reduce partition without scanning the file.  Buckets
+    Returns one ``(offset, length, crc32)`` entry per bucket so a reader
+    can fetch a single reduce partition without scanning the file and
+    verify it.  Buckets
     are serialized with the closure-aware plan pickler, so records that
     happen to contain lambdas still round-trip.
     """
     from . import closure
 
-    with_sums = _CHECKSUMS
     offsets: List[Tuple] = []
     with open(path, "wb") as f:
         for bucket in buckets:
             blob, _ = closure.dumps(bucket, with_buffers=False)
-            if with_sums:
-                offsets.append((f.tell(), len(blob), zlib.crc32(blob)))
-            else:
-                offsets.append((f.tell(), len(blob)))
+            offsets.append((f.tell(), len(blob), zlib.crc32(blob)))
             f.write(blob)
     return offsets
 
@@ -182,9 +139,8 @@ def read_bucket_file(path: str, offsets: Sequence[Tuple],
     The requested ``(offset, length)`` window is validated against the
     actual file size before deserializing, so a truncated or torn spill
     file raises a typed :class:`~repro.common.errors.BucketFileError`
-    with full provenance instead of an opaque ``UnpicklingError``; when
-    the offset entry carries a CRC (checksumming on at write time), the
-    blob is verified and corruption raises
+    with full provenance instead of an opaque ``UnpicklingError``; the
+    blob is verified against the entry's CRC and corruption raises
     :class:`~repro.common.errors.ChecksumError` naming the file and the
     corrupt bucket's byte offset.
     """
@@ -196,9 +152,7 @@ def read_bucket_file(path: str, offsets: Sequence[Tuple],
             f"reduce {reduce_id} requested",
             path=path, reduce_id=reduce_id, offset=-1, length=-1,
             file_size=-1)
-    entry = offsets[reduce_id]
-    off, length = entry[0], entry[1]
-    want_crc = entry[2] if len(entry) > 2 else None
+    off, length, want_crc = offsets[reduce_id]
     with open(path, "rb") as f:
         file_size = os.fstat(f.fileno()).st_size
         if off < 0 or length < 0 or off + length > file_size:
@@ -210,33 +164,9 @@ def read_bucket_file(path: str, offsets: Sequence[Tuple],
     if len(blob) != length:
         raise BucketFileError(path=path, reduce_id=reduce_id, offset=off,
                               length=length, file_size=file_size)
-    if want_crc is not None:
-        got = zlib.crc32(blob)
-        if got != want_crc:
-            raise ChecksumError(layer="shuffle", path=path, offset=off,
-                                expected=want_crc, actual=got)
+    got = zlib.crc32(blob)
+    if got != want_crc:
+        raise ChecksumError(layer="shuffle", path=path, offset=off,
+                            expected=want_crc, actual=got)
     return closure.loads(blob)
 
-
-def _write_buckets_scalar(dep: ShuffleDependency, records: Sequence,
-                          cost: CostModel,
-                          ) -> Tuple[List[List], int, List[float]]:
-    """The original per-record reference path (kept for A/B benchmarks)."""
-    n_out = dep.partitioner.n_partitions
-    buckets: List[List] = [[] for _ in range(n_out)]
-    if dep.map_side_combine and dep.aggregator is not None:
-        agg = dep.aggregator
-        combined: List[Dict[Any, Any]] = [dict() for _ in range(n_out)]
-        for k, v in records:
-            b = combined[dep.partitioner.partition(k)]
-            b[k] = agg.merge_value(b[k], v) if k in b else agg.create(v)
-        written = 0
-        for rid, d in enumerate(combined):
-            buckets[rid].extend(d.items())
-            written += len(d)
-    else:
-        for rec in records:
-            buckets[dep.partitioner.partition(rec[0])].append(rec)
-        written = len(records)
-    bucket_bytes = [cost.estimate_bytes(b) for b in buckets]
-    return buckets, written, bucket_bytes

@@ -31,10 +31,11 @@ identical output order for any order-defining query (``order_by`` ties
 break on row content — see ``frame._sort_token`` — precisely so that
 physical re-planning upstream cannot leak into sorted output).
 
-Process-wide toggle mirrors ``columnar.set_columnar``::
+Adaptation is chosen per query (default off), with thresholds from an
+:class:`AdaptiveConfig` carried by the same call::
 
-    set_adaptive(True)                      # opt in (default off)
-    df.collect(adaptive=True)               # or per query
+    df.collect(adaptive=True)
+    df.collect(adaptive=True, config=AdaptiveConfig(broadcast_rows=10))
 
 Every applied decision is recorded in an :class:`AdaptiveReport`
 (``DataFrame.last_adaptive_report`` after compilation) and counted on
@@ -61,12 +62,11 @@ from .logical import (
 
 __all__ = [
     "AdaptiveConfig", "AdaptiveReport", "BroadcastJoin", "TopK",
-    "SkewPartitioner", "adapt", "estimate_rows", "set_adaptive",
-    "adaptive_enabled", "get_adaptive_config",
+    "SkewPartitioner", "adapt", "estimate_rows",
 ]
 
 
-# -- configuration / process-wide switch -------------------------------------
+# -- configuration -----------------------------------------------------------
 
 
 class AdaptiveConfig:
@@ -103,29 +103,6 @@ class AdaptiveConfig:
         self.max_hot_keys = max_hot_keys
         self.measure = measure
         self.join_strategy = join_strategy
-
-
-_ADAPTIVE = False
-_CONFIG = AdaptiveConfig()
-
-
-def set_adaptive(enabled: bool,
-                 config: Optional[AdaptiveConfig] = None) -> None:
-    """Globally enable/disable AQE (A/B toggle; default off)."""
-    global _ADAPTIVE, _CONFIG
-    _ADAPTIVE = bool(enabled)
-    if config is not None:
-        _CONFIG = config
-
-
-def adaptive_enabled() -> bool:
-    """Whether DataFrames adapt plans at compile time by default."""
-    return _ADAPTIVE
-
-
-def get_adaptive_config() -> AdaptiveConfig:
-    """The process-wide adaptive configuration."""
-    return _CONFIG
 
 
 # -- physical-choice plan nodes ----------------------------------------------
@@ -352,7 +329,7 @@ def _decide_skew(plan: Join, ctx, n_partitions: int,
 
 
 def adapt(plan: LogicalPlan, ctx, n_partitions: int,
-          config: Optional[AdaptiveConfig] = None,
+          config: AdaptiveConfig,
           report: Optional[AdaptiveReport] = None,
           ) -> Tuple[LogicalPlan, AdaptiveReport]:
     """Rewrite ``plan`` with measured-statistics physical decisions.
@@ -361,7 +338,6 @@ def adapt(plan: LogicalPlan, ctx, n_partitions: int,
     place, Limit/OrderBy pairs are replaced by new TopK nodes).  Returns
     the adapted plan and the decision report.
     """
-    config = config or _CONFIG
     if report is None:
         report = AdaptiveReport()
     plan.children = [adapt(c, ctx, n_partitions, config, report)[0]

@@ -27,9 +27,8 @@ Equivalence contract (the columnar/row property tests assert it):
 Known divergences from the row interpreter (documented, not silent):
 int64 arithmetic can overflow where Python ints cannot; division by zero
 follows numpy (inf/nan) rather than raising; NaN group keys and ``-0.0``
-sums keep numpy semantics.  Disable with :func:`set_columnar` (process
-wide) or ``DataFrame.collect(columnar=False)`` (per query) when exact
-interpreted behaviour is needed on such inputs.
+sums keep numpy semantics.  Use ``DataFrame.collect(columnar=False)``
+(per query) when exact interpreted behaviour is needed on such inputs.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ import numpy as np
 
 from ..common.errors import PlanError
 from ..dataflow.partitioner import DirectPartitioner
-from .adaptive import BroadcastJoin, get_adaptive_config, join_partitioner
+from .adaptive import BroadcastJoin, join_partitioner
 from .expr import Column, Expr, Literal, _Aliased, _BinOp, _UnaryOp
 from .logical import (
     AggSpec,
@@ -55,24 +54,8 @@ from .logical import (
 
 __all__ = [
     "ColumnBatch", "make_array", "eval_expr",
-    "compile_columnar", "set_columnar", "columnar_enabled",
+    "compile_columnar",
 ]
-
-
-# -- process-wide switch (mirrors shuffleio.set_vectorized) ------------------
-
-_COLUMNAR = True
-
-
-def set_columnar(enabled: bool) -> None:
-    """Globally enable/disable columnar lowering (A/B toggle for benches)."""
-    global _COLUMNAR
-    _COLUMNAR = bool(enabled)
-
-
-def columnar_enabled() -> bool:
-    """Whether DataFrames compile through the columnar engine by default."""
-    return _COLUMNAR
 
 
 # -- column batches ----------------------------------------------------------
@@ -504,7 +487,8 @@ def _join_reduce(lbs: List[ColumnBatch], rbs: List[ColumnBatch],
                         int(lt.size))]
 
 
-def _join_batches(plan: Join, left_b, right_b, ctx, n_partitions: int):
+def _join_batches(plan: Join, left_b, right_b, ctx, n_partitions: int,
+                  strategy: str):
     """Lower a (possibly skew-annotated) Join over batch datasets."""
     from ..dataflow.plan import CoGroupedDataset
     on = tuple(plan.on)
@@ -512,7 +496,6 @@ def _join_batches(plan: Join, left_b, right_b, ctx, n_partitions: int):
     rschema = tuple(plan.right.schema)
     right_extra = tuple(c for c in rschema if c not in plan.on)
     how = plan.how
-    strategy = get_adaptive_config().join_strategy
     part = join_partitioner(plan, n_partitions)
     lblocks = left_b.flat_map(
         lambda b, _on=on, _p=part: _key_blocks(b, _on, _p))
@@ -606,13 +589,13 @@ def _batch_ds(row_ds, schema: Sequence[str]):
         lambda it, _s=s: [ColumnBatch.from_rows(list(it), _s)])
 
 
-def _lower(plan: LogicalPlan, ctx, n_partitions: int):
+def _lower(plan: LogicalPlan, ctx, n_partitions: int, strategy: str):
     """Recursive lowering; returns ``(dataset, is_batch)``."""
     if isinstance(plan, Scan):
         return _scan_batches(plan, ctx, n_partitions), True
 
     if isinstance(plan, Project):
-        child, is_batch = _lower(plan.child, ctx, n_partitions)
+        child, is_batch = _lower(plan.child, ctx, n_partitions, strategy)
         if not is_batch:
             child = _batch_ds(child, plan.child.schema)
         exprs = tuple(plan.exprs)
@@ -620,7 +603,7 @@ def _lower(plan: LogicalPlan, ctx, n_partitions: int):
             lambda b, _e=exprs: project_batch(b, _e)), True
 
     if isinstance(plan, Filter):
-        child, is_batch = _lower(plan.child, ctx, n_partitions)
+        child, is_batch = _lower(plan.child, ctx, n_partitions, strategy)
         if not is_batch:
             child = _batch_ds(child, plan.child.schema)
         pred = plan.predicate
@@ -628,7 +611,7 @@ def _lower(plan: LogicalPlan, ctx, n_partitions: int):
             lambda b, _p=pred: filter_batch(b, _p)), True
 
     if isinstance(plan, GroupAgg):
-        child, is_batch = _lower(plan.child, ctx, n_partitions)
+        child, is_batch = _lower(plan.child, ctx, n_partitions, strategy)
         if not is_batch:
             child = _batch_ds(child, plan.child.schema)
         keys, aggs = tuple(plan.keys), tuple(plan.aggs)
@@ -653,15 +636,16 @@ def _lower(plan: LogicalPlan, ctx, n_partitions: int):
         return out.map(to_row), False
 
     if isinstance(plan, Join):
-        left_ds, lb = _lower(plan.left, ctx, n_partitions)
-        right_ds, rb = _lower(plan.right, ctx, n_partitions)
+        left_ds, lb = _lower(plan.left, ctx, n_partitions, strategy)
+        right_ds, rb = _lower(plan.right, ctx, n_partitions, strategy)
         left_b = left_ds if lb else _batch_ds(left_ds, plan.left.schema)
         right_b = right_ds if rb else _batch_ds(right_ds, plan.right.schema)
-        return _join_batches(plan, left_b, right_b, ctx, n_partitions), True
+        return _join_batches(plan, left_b, right_b, ctx, n_partitions,
+                             strategy), True
 
     if isinstance(plan, BroadcastJoin):
-        left_ds, lb = _lower(plan.left, ctx, n_partitions)
-        right_ds, rb = _lower(plan.right, ctx, n_partitions)
+        left_ds, lb = _lower(plan.left, ctx, n_partitions, strategy)
+        right_ds, rb = _lower(plan.right, ctx, n_partitions, strategy)
         left_b = left_ds if lb else _batch_ds(left_ds, plan.left.schema)
         right_rows = _rows_ds(right_ds) if rb else right_ds
         return _broadcast_join_batches(plan, left_b, right_rows, ctx), True
@@ -671,16 +655,18 @@ def _lower(plan: LogicalPlan, ctx, n_partitions: int):
     from .frame import _lower_row
     children = []
     for c in plan.children:
-        ds, is_batch = _lower(c, ctx, n_partitions)
+        ds, is_batch = _lower(c, ctx, n_partitions, strategy)
         children.append(_rows_ds(ds) if is_batch else ds)
     return _lower_row(plan, children, ctx, n_partitions), False
 
 
-def compile_columnar(plan: LogicalPlan, ctx, n_partitions: int):
+def compile_columnar(plan: LogicalPlan, ctx, n_partitions: int,
+                     join_strategy: str):
     """Compile a logical plan through the columnar engine.
 
     Returns a Dataset of dict rows — the same output contract as the row
-    compiler in :mod:`repro.sql.frame`.
+    compiler in :mod:`repro.sql.frame`.  ``join_strategy`` picks the join
+    probe kernel (see :class:`~repro.sql.adaptive.AdaptiveConfig`).
     """
-    ds, is_batch = _lower(plan, ctx, n_partitions)
+    ds, is_batch = _lower(plan, ctx, n_partitions, join_strategy)
     return _rows_ds(ds) if is_batch else ds

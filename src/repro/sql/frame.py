@@ -23,11 +23,11 @@ from ..common.errors import PlanError
 from ..dataflow.context import DataflowContext
 from ..dataflow.plan import CoGroupedDataset, Dataset
 from .adaptive import (
+    AdaptiveConfig,
     AdaptiveReport,
     BroadcastJoin,
     TopK,
     adapt,
-    adaptive_enabled,
     join_partitioner,
 )
 from .expr import Column, Expr, col
@@ -172,45 +172,50 @@ class DataFrame:
         return plan.describe()
 
     def to_dataset(self, optimized: bool = True,
-                   columnar: Optional[bool] = None,
-                   adaptive: Optional[bool] = None) -> Dataset:
+                   columnar: bool = True,
+                   adaptive: bool = False,
+                   config: Optional[AdaptiveConfig] = None) -> Dataset:
         """Compile to a Dataset of dict rows.
 
-        ``columnar`` forces the vectorized (True) or interpreted (False)
-        engine for this query; ``None`` follows the process-wide default
-        (:func:`repro.sql.columnar.set_columnar`).  Both engines produce
-        identical rows in identical order.  ``adaptive`` likewise forces
-        or suppresses adaptive re-planning (:mod:`repro.sql.adaptive`);
-        adaptation happens on the logical plan *before* engine lowering,
-        so both engines execute the same adapted plan.
+        ``columnar`` selects the vectorized engine (default) or the row
+        interpreter (False); both produce identical rows in identical
+        order.  ``adaptive`` turns on adaptive re-planning
+        (:mod:`repro.sql.adaptive`) for this query; adaptation happens
+        on the logical plan *before* engine lowering, so both engines
+        execute the same adapted plan.  ``config`` holds this query's
+        adaptive thresholds and columnar join strategy (default
+        ``AdaptiveConfig()``).
         """
+        config = config or AdaptiveConfig()
         plan = optimize(_clone(self.plan)) if optimized else self.plan
-        use_adaptive = adaptive_enabled() if adaptive is None else adaptive
         self.last_adaptive_report: Optional[AdaptiveReport] = None
-        if use_adaptive:
+        if adaptive:
             if not optimized:
                 plan = _clone(plan)      # adapt annotates nodes in place
-            plan, report = adapt(plan, self.ctx, self.n_partitions)
+            plan, report = adapt(plan, self.ctx, self.n_partitions, config)
             self.last_adaptive_report = report
-        from .columnar import columnar_enabled, compile_columnar
-        use_columnar = columnar_enabled() if columnar is None else columnar
-        if use_columnar:
-            return compile_columnar(plan, self.ctx, self.n_partitions)
+        if columnar:
+            from .columnar import compile_columnar
+            return compile_columnar(plan, self.ctx, self.n_partitions,
+                                    config.join_strategy)
         return _compile(plan, self.ctx, self.n_partitions)
 
     def collect(self, optimized: bool = True,
-                columnar: Optional[bool] = None,
-                adaptive: Optional[bool] = None) -> List[Dict[str, Any]]:
+                columnar: bool = True,
+                adaptive: bool = False,
+                config: Optional[AdaptiveConfig] = None,
+                ) -> List[Dict[str, Any]]:
         """All rows as dicts."""
         return self.to_dataset(optimized, columnar=columnar,
-                               adaptive=adaptive).collect()
+                               adaptive=adaptive, config=config).collect()
 
     def count(self, optimized: bool = True,
-              columnar: Optional[bool] = None,
-              adaptive: Optional[bool] = None) -> int:
+              columnar: bool = True,
+              adaptive: bool = False,
+              config: Optional[AdaptiveConfig] = None) -> int:
         """Number of rows."""
         return self.to_dataset(optimized, columnar=columnar,
-                               adaptive=adaptive).count()
+                               adaptive=adaptive, config=config).count()
 
     def show(self, n: int = 20) -> None:
         """Print up to ``n`` rows as an aligned table."""

@@ -109,6 +109,31 @@ class TestMetrics:
         assert run(4, 4) < run(1, 2)
 
 
+class TestIdleStageWaits:
+    """With speculation, hedging and delay scheduling off, a stage loop
+    waits on its task inbox alone: no poll timer is armed, so the
+    scheduler tick cannot change the event count, makespan or result."""
+
+    def _wordcount(self, check_interval):
+        cost = CostModel(cpu_per_record=1.5e-2, task_overhead=5e-3)
+        cfg = EngineConfig(speculation=False, locality_wait=0.0,
+                           resilience=None, check_interval=check_interval)
+        sim, cl, ctx, eng = make_env(config=cfg, cost=cost)
+        docs = [" ".join(f"w{(i * 7 + j) % 53}" for j in range(40))
+                for i in range(60)]
+        ds = (ctx.parallelize(docs, 16).flat_map(str.split)
+              .map(lambda w: (w, 1)).reduce_by_key(operator.add, 8))
+        res = sim.run_until_done(eng.collect(ds))
+        return sim.events_processed, res.metrics.duration, res.value
+
+    def test_check_interval_does_not_change_the_run(self):
+        fine = self._wordcount(0.1)
+        coarse = self._wordcount(10.0)
+        assert fine[0] == coarse[0]         # Simulator.events_processed
+        assert fine[1] == coarse[1]         # makespan
+        assert fine[2] == coarse[2]         # result, in order
+
+
 class TestFaultTolerance:
     def test_node_loss_mid_job_correct_result(self):
         sim, cl, ctx, eng = make_env(cost=BUSY)

@@ -20,7 +20,6 @@ from repro.dataflow import (
     ProcessPoolBackend,
     SimEngine,
     fusion,
-    set_fusion,
 )
 from repro.dataflow.fusion import (
     prime_segments,
@@ -31,12 +30,6 @@ from repro.dataflow.fusion import (
 from repro.simcore import Simulator
 
 from .test_fusion import random_chain
-
-
-@pytest.fixture(autouse=True)
-def _fusion_on_after():
-    yield
-    set_fusion(True)
 
 
 @pytest.fixture(scope="module")
@@ -75,12 +68,29 @@ def test_random_chain_pool_byte_identical(seed, pool):
 
 @pytest.mark.parametrize("fused", [True, False])
 def test_pool_fusion_toggle_reprimes(fused, pool):
-    # flipping the global fusion switch must re-prime the workers, not
-    # serve results compiled under the other mode
-    set_fusion(fused)
-    local, pooled = collect_both_backends(
-        lambda ctx: random_chain(ctx, random.Random(3)), pool)
-    assert local == pooled
+    # two contexts that disagree on fusion alternate on one warm pool
+    # (starting with ``fused``): each job re-primes the workers with its
+    # own context's mode, never results compiled under the other's
+    def build(ctx):
+        return (ctx.parallelize(range(120), 4)
+                .map(lambda x: x * 3).filter(lambda x: x % 2 == 0)
+                .map(lambda x: x + 1))
+
+    pooled = {}
+    for mode in (True, False):
+        pooled[mode] = pool_ctx(pool)
+        pooled[mode].fusion_enabled = mode
+    for mode in (fused, not fused, fused, not fused):
+        ref = DataflowContext(default_parallelism=4)
+        ref.fusion_enabled = mode
+        want = pickle.dumps(build(ref).collect())
+        assert pickle.dumps(build(pooled[mode]).collect()) == want
+        sim = Simulator()
+        eng = SimEngine(make_cluster(sim, 2, 2))
+        res = sim.run_until_done(eng.collect(build(pooled[mode])))
+        assert pickle.dumps(res.value) == want
+        assert res.metrics.pool_prefetched == 4
+        assert (res.metrics.fused_segments > 0) == mode
 
 
 def shuffle_workloads():

@@ -3,9 +3,9 @@ and byte-identity of the vectorized shuffle write.
 
 The contract under test: ``partition_many(keys)[i] == partition(keys[i])``
 for every key the scalar path accepts, and ``write_buckets`` produces
-*identical* buckets (contents and order) whether the vectorized or the
-scalar reference path runs — so flipping the implementation can never
-change a job's output, only its speed.
+*identical* buckets (contents and order) to :func:`scalar_write_buckets`,
+the per-record reference kept here as the oracle — so the vectorized
+implementation can never change a job's output, only its speed.
 """
 
 import math
@@ -28,6 +28,7 @@ from repro.dataflow import (
     stable_hash,
     stable_hash_many,
 )
+from repro.dataflow import engine as engine_mod
 from repro.dataflow import shuffleio
 from repro.dataflow.plan import Aggregator, ShuffleDependency
 from repro.simcore import Simulator
@@ -153,17 +154,36 @@ def _dep(partitioner, aggregator=None, combine=False):
                              map_side_combine=combine)
 
 
+def scalar_write_buckets(dep, records, cost, size_estimator=None):
+    """Reference shuffle write: one ``partition()`` call per record.
+
+    With map-side combining, records merge into one dict per reduce
+    bucket in record order.  Same signature and return value as
+    :func:`repro.dataflow.shuffleio.write_buckets`.
+    """
+    n_out = dep.partitioner.n_partitions
+    buckets = [[] for _ in range(n_out)]
+    if dep.map_side_combine and dep.aggregator is not None:
+        agg = dep.aggregator
+        combined = [dict() for _ in range(n_out)]
+        for k, v in records:
+            b = combined[dep.partitioner.partition(k)]
+            b[k] = agg.merge_value(b[k], v) if k in b else agg.create(v)
+        written = 0
+        for rid, d in enumerate(combined):
+            buckets[rid].extend(d.items())
+            written += len(d)
+    else:
+        for rec in records:
+            buckets[dep.partitioner.partition(rec[0])].append(rec)
+        written = len(records)
+    return buckets, written, [cost.estimate_bytes(b) for b in buckets]
+
+
 def _both_legs(dep, records):
     cost = CostModel()
-    prev = shuffleio.vectorized_enabled()
-    try:
-        shuffleio.set_vectorized(True)
-        vec = shuffleio.write_buckets(dep, records, cost,
-                                      SizeEstimator(cost))
-        shuffleio.set_vectorized(False)
-        scalar = shuffleio.write_buckets(dep, records, cost)
-    finally:
-        shuffleio.set_vectorized(prev)
+    vec = shuffleio.write_buckets(dep, records, cost, SizeEstimator(cost))
+    scalar = scalar_write_buckets(dep, records, cost)
     return vec, scalar
 
 
@@ -198,6 +218,34 @@ class TestWriteBucketsByteIdentity:
         assert vec[1] == scalar[1] == 0
 
 
+class _CountingPartitioner(HashPartitioner):
+    def __init__(self, n):
+        super().__init__(n)
+        self.calls = {"partition": 0, "partition_many": 0}
+
+    def partition(self, key):
+        self.calls["partition"] += 1
+        return super().partition(key)
+
+    def partition_many(self, keys):
+        self.calls["partition_many"] += 1
+        return super().partition_many(keys)
+
+
+class TestWriteBucketsBatchesPartitioning:
+    """One non-empty write partitions all its keys in one batch call."""
+
+    @pytest.mark.parametrize("combine", [False, True])
+    def test_one_partition_many_no_partition(self, combine):
+        part = _CountingPartitioner(8)
+        dep = _dep(part, _SUM if combine else None, combine)
+        rng = _rng()
+        records = [(f"k{rng.randrange(300)}", 1) for _ in range(2000)]
+        cost = CostModel()
+        shuffleio.write_buckets(dep, records, cost, SizeEstimator(cost))
+        assert part.calls == {"partition": 0, "partition_many": 1}
+
+
 class TestEndToEndByteIdentity:
     """The skewed-combiner workload computes the same result on the local
     executor, the simulated engine, and the scalar reference path."""
@@ -218,19 +266,16 @@ class TestEndToEndByteIdentity:
         res = sim.run_until_done(eng.collect(self._plan(ctx)))
         return res.value
 
-    def test_local_vs_engine_vs_scalar(self):
-        prev = shuffleio.vectorized_enabled()
-        try:
-            shuffleio.set_vectorized(True)
-            local = self._plan(DataflowContext(default_parallelism=8)) \
-                .collect()
-            engine = self._run_sim()
-            shuffleio.set_vectorized(False)
-            local_scalar = self._plan(
-                DataflowContext(default_parallelism=8)).collect()
-            engine_scalar = self._run_sim()
-        finally:
-            shuffleio.set_vectorized(prev)
+    def test_local_vs_engine_vs_scalar(self, monkeypatch):
+        local = self._plan(DataflowContext(default_parallelism=8)).collect()
+        engine = self._run_sim()
+        # the local executor looks write_buckets up in shuffleio at call
+        # time; the engine binds it at import
+        monkeypatch.setattr(shuffleio, "write_buckets", scalar_write_buckets)
+        monkeypatch.setattr(engine_mod, "write_buckets", scalar_write_buckets)
+        local_scalar = self._plan(
+            DataflowContext(default_parallelism=8)).collect()
+        engine_scalar = self._run_sim()
         assert local == local_scalar        # exact order, not just sets
         assert engine == engine_scalar
         assert sorted(local) == sorted(engine)

@@ -19,14 +19,13 @@ from repro.sql import (
     DataFrame,
     avg_,
     col,
-    columnar_enabled,
     count_,
     lit,
     max_,
     min_,
-    set_columnar,
     sum_,
 )
+from repro.sql import columnar as columnar_mod
 from repro.sql.columnar import ColumnBatch, make_array
 
 
@@ -246,21 +245,23 @@ def test_randomized_queries_equivalent(ctx, seed):
     both(q)
 
 
-# -- engine toggles and the simulated cluster ------------------------------
+# -- engine selection and the simulated cluster ---------------------------
 
 
-def test_global_toggle(ctx):
+def test_columnar_is_the_default(ctx, monkeypatch):
     df = DataFrame.from_rows(ctx, sales_rows(n=50))
     q = df.where(col("qty") > 1)
-    assert columnar_enabled()
-    try:
-        set_columnar(False)
-        assert not columnar_enabled()
-        rows_off = q.collect()
-        set_columnar(True)
-        assert list(map(repr, q.collect())) == list(map(repr, rows_off))
-    finally:
-        set_columnar(True)
+    compiled = []
+    real = columnar_mod.compile_columnar
+
+    def spy(*args):
+        compiled.append(args[0])
+        return real(*args)
+    monkeypatch.setattr(columnar_mod, "compile_columnar", spy)
+    rows_off = q.collect(columnar=False)
+    assert not compiled
+    assert list(map(repr, q.collect())) == list(map(repr, rows_off))
+    assert len(compiled) == 1
 
 
 def test_simengine_runs_columnar_plans():

@@ -71,14 +71,6 @@ def test_udf_fallback_pool_identical(pool):
 # -- joins and adaptive execution on the pool ------------------------------
 
 
-@pytest.fixture(autouse=True)
-def _reset_adaptive():
-    from repro.sql.adaptive import AdaptiveConfig
-    from repro.sql import set_adaptive
-    yield
-    set_adaptive(False, AdaptiveConfig())
-
-
 def _join_tables(seed, n=220, nulls=True):
     rng = random.Random(seed)
     pool_keys = list(range(18)) + ([None] if nulls else [])
@@ -109,9 +101,8 @@ def test_join_queries_pool_identical(seed, adaptive, pool):
 def test_adaptive_broadcast_pool_identical(pool):
     # a dim table under the broadcast threshold: the rewrite must fire
     # and the broadcast payload must ship to pool workers intact
-    from repro.sql import set_adaptive
     from repro.sql.adaptive import AdaptiveConfig
-    set_adaptive(False, AdaptiveConfig(broadcast_rows=100))
+    cfg = AdaptiveConfig(broadcast_rows=100)
     fact, _ = _join_tables(11, n=400, nulls=False)
     dim = [{"k": i, "label": f"g{i}"} for i in range(18)]
 
@@ -122,13 +113,13 @@ def test_adaptive_broadcast_pool_identical(pool):
                 .group_by("label").agg(n=count_(), s=sum_(col("v"))))
     ctx_a = DataflowContext(default_parallelism=4)
     q = build(ctx_a)
-    q.to_dataset(columnar=True, adaptive=True)
+    q.to_dataset(columnar=True, adaptive=True, config=cfg)
     assert "broadcast_joins" in q.last_adaptive_report.kinds()
-    a = build(ctx_a).collect(columnar=True, adaptive=True)
+    a = build(ctx_a).collect(columnar=True, adaptive=True, config=cfg)
     ctx_b = DataflowContext(default_parallelism=4)
     ctx_b.attach_pool(pool)
     ctx_b.backend = "pool"
-    b = build(ctx_b).collect(columnar=True, adaptive=True)
+    b = build(ctx_b).collect(columnar=True, adaptive=True, config=cfg)
     assert sorted(map(repr, a)) == sorted(map(repr, b))
 
 

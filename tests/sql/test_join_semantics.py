@@ -26,10 +26,10 @@ from repro.sql import (
     DataFrame,
     col,
     count_,
-    set_adaptive,
     sum_,
 )
-from repro.sql.adaptive import AdaptiveConfig, get_adaptive_config
+from repro.sql import columnar as columnar_mod
+from repro.sql.adaptive import AdaptiveConfig
 
 
 @pytest.fixture
@@ -37,28 +37,24 @@ def ctx():
     return DataflowContext(default_parallelism=4)
 
 
-@pytest.fixture(autouse=True)
-def _reset_adaptive():
-    yield
-    set_adaptive(False, AdaptiveConfig())
-
-
 def frame(ctx, rows, name, schema):
     return DataFrame.from_rows(ctx, rows, name=name, schema=schema)
 
 
-def sweep(build, n=4, exact_modes=True):
+def sweep(build, n=4, exact_modes=True, config=None):
     """Collect across engines x adaptive modes; return the row baseline.
 
     Byte-equality between columnar and row at each fixed adaptive
-    setting; multiset equality between adaptive settings.
+    setting; multiset equality between adaptive settings.  ``config``
+    is the per-query :class:`AdaptiveConfig` (default when None).
     """
     base = None
     for aqe in (False, True):
         per_mode = []
         for columnar in (False, True):
             ctx = DataflowContext(default_parallelism=n)
-            out = build(ctx).collect(columnar=columnar, adaptive=aqe)
+            out = build(ctx).collect(columnar=columnar, adaptive=aqe,
+                                     config=config)
             per_mode.append(out)
         a, b = map(lambda rs: list(map(repr, rs)), per_mode)
         assert a == b, f"columnar/row diverge (adaptive={aqe})"
@@ -211,10 +207,9 @@ class TestJoinStrategies:
     @pytest.mark.parametrize("strategy", ["hash", "sort_merge"])
     def test_forced_strategy_matches_row_oracle(self, strategy):
         L, R = self._data()
-        set_adaptive(False, AdaptiveConfig(join_strategy=strategy))
-        assert get_adaptive_config().join_strategy == strategy
         out = sweep(lambda c: frame(c, L, "L", ["k", "v"])
-                    .join(frame(c, R, "R", ["k", "w"]), on="k"))
+                    .join(frame(c, R, "R", ["k", "w"]), on="k"),
+                    config=AdaptiveConfig(join_strategy=strategy))
         assert out       # non-vacuous
 
     def test_sort_merge_falls_back_on_non_integer_keys(self):
@@ -222,10 +217,34 @@ class TestJoinStrategies:
         # back to the hash probe silently and stay exact
         L = [{"k": w, "v": i} for i, w in enumerate(["a", "b", "a", "c"])]
         R = [{"k": w, "w": i} for i, w in enumerate(["a", "c"])]
-        set_adaptive(False, AdaptiveConfig(join_strategy="sort_merge"))
         out = sweep(lambda c: frame(c, L, "L", ["k", "v"])
-                    .join(frame(c, R, "R", ["k", "w"]), on="k"))
+                    .join(frame(c, R, "R", ["k", "w"]), on="k"),
+                    config=AdaptiveConfig(join_strategy="sort_merge"))
         assert len(out) == 3
+
+    def test_strategy_does_not_leak_into_the_next_query(self, monkeypatch):
+        # the join strategy is per-query: forcing sort_merge on one query
+        # leaves the next query in the same process on the default "auto"
+        seen = []
+        real = columnar_mod._join_reduce
+
+        def spy(*args):
+            seen.append(args[-1])
+            return real(*args)
+        monkeypatch.setattr(columnar_mod, "_join_reduce", spy)
+        L, R = self._data()
+
+        def query():
+            c = DataflowContext(default_parallelism=4)
+            return (frame(c, L, "L", ["k", "v"])
+                    .join(frame(c, R, "R", ["k", "w"]), on="k"))
+        forced = query().collect(
+            config=AdaptiveConfig(join_strategy="sort_merge"))
+        assert seen and set(seen) == {"sort_merge"}
+        seen.clear()
+        default = query().collect()
+        assert seen and set(seen) == {"auto"}
+        assert list(map(repr, forced)) == list(map(repr, default))
 
 
 # -- randomized join-heavy harness ----------------------------------------
