@@ -21,29 +21,42 @@ comparable perf trajectory.
 
 Run standalone:  ``PYTHONPATH=src python benchmarks/bench_p0_wallclock.py``
                  ``... bench_p0_wallclock.py 0.25 --profile``
-                 ``... bench_p0_wallclock.py --backend pool --workers 4``
-                 ``... bench_p0_wallclock.py --backend inprocess``  (skip
-                 the pool sweep entirely)
+                 ``... bench_p0_wallclock.py --workers 8``  (top of the
+                 pool sweep; ``--workers 0`` skips the sweep entirely)
+
+Three section guards also run on their own, at the fixed reduced scales
+CI holds them to (pool at 0.25 with 4 workers, streaming at 0.25,
+serving at 0.5):
+``PYTHONPATH=src python -m pytest -rs benchmarks/bench_p0_wallclock.py
+-k guard``.
 """
 
 import argparse
 import os
 import sys
 
+import pytest
+
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from _common import one_round
 
-from repro.bench.perfsuite import profile_end_to_end, run_suite, write_report
+from repro.bench.perfsuite import (
+    measure_multi_tenant_serving,
+    measure_pool_backend,
+    measure_sustained_throughput,
+    measure_windowed_aggregation,
+    profile_end_to_end,
+    run_suite,
+    write_report,
+)
 
 REPORT = os.path.join(os.path.dirname(__file__), os.pardir,
                       "BENCH_wallclock.json")
 
 
 def run_p0(scale: float = 1.0, report_path: str = REPORT,
-           profile: bool = False, backend: str = "pool",
-           workers: int = 4) -> dict:
-    payload = run_suite(scale=scale, verbose=True,
-                        pool_workers=workers if backend == "pool" else None)
+           profile: bool = False, workers: int = 4) -> dict:
+    payload = run_suite(scale=scale, verbose=True, pool_workers=workers)
     if profile:
         report, text = profile_end_to_end("wordcount", scale)
         payload["profile"] = report
@@ -54,61 +67,42 @@ def run_p0(scale: float = 1.0, report_path: str = REPORT,
     return payload
 
 
-def enforce_guards(payload: dict) -> None:
-    """Regression guards for the PR-3..PR-6 execution optimizers.
+def guard_optimizers(summary: dict, scale: float) -> None:
+    """Execution-optimizer guards.
 
     Narrow-chain fusion must stay >= 1.2x at every scale (it is a
     per-record win, so smoke scales see it too); the columnar SQL engine
     must reach 1.5x at the default scale (>= 1.1x on smoke scales, where
-    fixed per-query costs dominate).  The vectorized hash join (PR 7)
-    must reach 3x over the row-interpreter join at the default scale
-    (>= 1.2x on smoke scales) and its adaptive-execution leg must have
-    produced the identical result set.  The observability layer must cost
-    < 5% when disabled — guarded via the fully *traced* leg, whose
-    instrumentation work is a strict superset of the disabled path's
-    (the same module-global loads and ``None`` checks, plus all the
-    recording), so the disabled cost is strictly below the guarded
-    number.
-
-    The process-pool guard is conditional on the machine being able to
-    show a win at all: it enforces only when the sweep reached >= 4
-    workers on >= 4 cores and the scale is >= 0.25 (below that the jobs
-    are milliseconds and dispatch overhead dominates any backend).  The
-    floor is 2.0x at the default scale and 1.3x at smoke scales.  On
-    runners with < 4 cores the measurement still runs and legs must
-    agree byte-for-byte, but the report marks ``insufficient_cores``
-    and nulls the headline ``pool_speedup`` — the guard then *prints*
-    the skip instead of silently gating on a number a 1-core box cannot
-    produce.
-
-    PR 8 adds the streaming guards: the vectorized windowed aggregator
-    must be byte-identical to the scalar oracle and >= 5x faster at the
-    default scale (>= 1.5x on smoke scales, where per-batch fixed costs
-    dominate); the sustained-throughput section must report a positive
-    knee for every scenario with conservation intact in every overload
-    leg, and the backpressured interior must stay at least 2x tighter
-    than the unbounded one on the uniform overload leg.
-
-    PR 9 adds the multi-tenant serving guards: every tenant mix must
-    complete work with exact per-tenant conservation (``submitted ==
-    rejected + completed + failed``, zero inflight after drain), the
-    balanced mix of statistically identical tenants must score Jain
-    fairness >= 0.9, goodput-per-dollar must be positive everywhere,
-    and the chaos sweep must hold conservation on every seed while
-    degrading p99 gracefully (within 10x of fault-free).
+    fixed per-query costs dominate).  The vectorized hash join must
+    reach 3x over the row-interpreter join at the default scale (>= 1.2x
+    on smoke scales) and its adaptive-execution leg must have produced
+    the identical result set.
     """
-    summary = payload["summary"]
     fusion = summary["fusion_speedup"]
     assert fusion >= 1.2, f"fusion speedup regressed: {fusion:.2f}x < 1.2x"
     sql = summary["sql_speedup"]
-    floor = 1.5 if payload["scale"] >= 1.0 else 1.1
+    floor = 1.5 if scale >= 1.0 else 1.1
     assert sql >= floor, f"SQL speedup regressed: {sql:.2f}x < {floor}x"
     join = summary["join_speedup"]
-    join_floor = 3.0 if payload["scale"] >= 1.0 else 1.2
+    join_floor = 3.0 if scale >= 1.0 else 1.2
     assert join >= join_floor, \
         f"join speedup regressed: {join:.2f}x < {join_floor}x"
     assert summary["join_adaptive_consistent"], \
         "adaptive execution changed the join result"
+
+
+def guard_overheads(summary: dict) -> None:
+    """The < 5% overhead guards.
+
+    Observability is guarded via the fully *traced* leg, whose
+    instrumentation work is a strict superset of the disabled path's
+    (the same module-global loads and ``None`` checks, plus all the
+    recording), so the disabled cost is strictly below the guarded
+    number.  Armed-but-idle resilience policies and the checksummed data
+    plane are guarded on their on/off A/Bs.  ``run_suite`` runs all
+    three at scale >= 1.0 whatever its own scale, so the bound holds at
+    every suite scale.
+    """
     obs = summary["obs_enabled_overhead"]
     assert obs < 0.05, \
         f"observability overhead bound {100 * obs:.1f}% >= 5%"
@@ -118,29 +112,53 @@ def enforce_guards(payload: dict) -> None:
     integ = summary["integrity_checksum_overhead"]
     assert integ < 0.05, \
         f"checksummed data plane overhead {100 * integ:.1f}% >= 5%"
-    pool = payload.get("pool_backend")
-    if pool is not None:
-        if pool["insufficient_cores"]:
-            assert summary["pool_speedup"] is None
-            print(f"pool guard SKIPPED: {pool['cpu_count']} cores < 4 "
-                  f"(measured {pool['measured_speedup']:.2f}x, "
-                  f"informational only)")
-        elif (pool["workers"] >= 4 and pool["cpu_count"] >= 4
-                and payload["scale"] >= 0.25):
-            speedup = summary["pool_speedup"]
-            pool_floor = 2.0 if payload["scale"] >= 1.0 else 1.3
-            assert speedup >= pool_floor, (
-                f"pool backend speedup regressed: {speedup:.2f}x "
-                f"< {pool_floor}x at {pool['workers']} workers "
-                f"({pool['cpu_count']} cores)")
-    windowed = summary["windowed_speedup"]
-    win_floor = 5.0 if payload["scale"] >= 1.0 else 1.5
-    assert windowed >= win_floor, (
-        f"windowed aggregation speedup regressed: {windowed:.2f}x "
+
+
+def guard_pool(pool: dict, scale: float) -> None:
+    """Process-pool speedup guard, conditional on the machine.
+
+    Enforces only when the sweep reached >= 4 workers on >= 4 cores and
+    the scale is >= 0.25 (below that the jobs are milliseconds and
+    dispatch overhead dominates any backend).  The floor is 2.0x at the
+    default scale and 1.3x at smoke scales.  On runners with < 4 cores
+    the measurement still runs and legs must agree byte-for-byte, but
+    the report marks ``insufficient_cores`` and nulls the headline
+    ``speedup`` — the guard then *prints* the skip instead of silently
+    gating on a number a 1-core box cannot produce.
+    """
+    if pool["insufficient_cores"]:
+        assert pool["speedup"] is None
+        print(f"pool guard SKIPPED: {pool['cpu_count']} cores < 4 "
+              f"(measured {pool['measured_speedup']:.2f}x, "
+              f"informational only)")
+    elif (pool["workers"] >= 4 and pool["cpu_count"] >= 4
+            and scale >= 0.25):
+        speedup = pool["speedup"]
+        pool_floor = 2.0 if scale >= 1.0 else 1.3
+        assert speedup >= pool_floor, (
+            f"pool backend speedup regressed: {speedup:.2f}x "
+            f"< {pool_floor}x at {pool['workers']} workers "
+            f"({pool['cpu_count']} cores)")
+
+
+def guard_streaming(windowed: dict, streaming: dict, scale: float) -> None:
+    """Streaming guards.
+
+    The vectorized windowed aggregator must be byte-identical to the
+    scalar oracle and >= 5x faster at the default scale (>= 1.5x on
+    smoke scales, where per-batch fixed costs dominate); the
+    sustained-throughput section must report a positive knee for every
+    scenario with conservation intact in every overload leg, and the
+    backpressured interior must stay at least 2x tighter than the
+    unbounded one on the uniform overload leg.
+    """
+    speedup = windowed["speedup"]
+    win_floor = 5.0 if scale >= 1.0 else 1.5
+    assert speedup >= win_floor, (
+        f"windowed aggregation speedup regressed: {speedup:.2f}x "
         f"< {win_floor}x")
-    assert payload["workloads"]["windowed_aggregation"]["identical"], \
+    assert windowed["identical"], \
         "vectorized windowed aggregation diverged from the scalar oracle"
-    streaming = payload["sustained_throughput"]
     for scenario, sec in streaming["scenarios"].items():
         assert sec["sustained_rate"] > 0, \
             f"{scenario}: no sustainable rate under the p99 bound"
@@ -154,7 +172,19 @@ def enforce_guards(payload: dict) -> None:
         "backpressure no longer bounds the pipeline interior: "
         f"on {uo['on']['pipeline_p99']:.2f}s vs "
         f"off {uo['off']['pipeline_p99']:.2f}s")
-    serving = payload["multi_tenant_serving"]
+
+
+def guard_serving(serving: dict) -> None:
+    """Multi-tenant serving guards.
+
+    Every tenant mix must complete work with exact per-tenant
+    conservation (``submitted == rejected + completed + failed``, zero
+    inflight after drain), the balanced mix of statistically identical
+    tenants must score Jain fairness >= 0.9, goodput-per-dollar must be
+    positive everywhere, and the chaos sweep must hold conservation on
+    every seed while degrading p99 gracefully (within 10x of
+    fault-free).
+    """
     for mix, sec in serving["mixes"].items():
         assert sec["conservation_ok"], f"{mix}: fleet conservation violated"
         assert sec["dollars"] > 0 and sec["goodput_per_dollar"] > 0, \
@@ -178,6 +208,39 @@ def enforce_guards(payload: dict) -> None:
     assert chaos["graceful"], (
         f"chaos p99 diverged: {chaos['max_p99_ratio_vs_clean']:.1f}x "
         f"fault-free (bound 10x)")
+
+
+def enforce_guards(payload: dict) -> None:
+    """Every section guard, on one ``run_suite`` payload."""
+    summary, scale = payload["summary"], payload["scale"]
+    guard_optimizers(summary, scale)
+    guard_overheads(summary)
+    if payload["pool_backend"] is not None:
+        guard_pool(payload["pool_backend"], scale)
+    guard_streaming(payload["workloads"]["windowed_aggregation"],
+                    payload["sustained_throughput"], scale)
+    guard_serving(payload["multi_tenant_serving"])
+
+
+def test_pool_guard():
+    """Pool >= 1.3x at scale 0.25 and 4 workers; skips below 4 cores."""
+    pool = measure_pool_backend(0.25)
+    if pool["insufficient_cores"]:
+        pytest.skip(f"pool speedup guard needs >= 4 cores, runner has "
+                    f"{pool['cpu_count']}; measured "
+                    f"{pool['measured_speedup']:.2f}x not enforced")
+    guard_pool(pool, 0.25)
+
+
+def test_streaming_guard():
+    """Windowed >= 1.5x and sustained-rate guards at scale 0.25."""
+    guard_streaming(measure_windowed_aggregation(0.25),
+                    measure_sustained_throughput(0.25), 0.25)
+
+
+def test_serving_guard():
+    """Serving conservation, fairness and chaos guards at scale 0.5."""
+    guard_serving(measure_multi_tenant_serving(0.5))
 
 
 def test_p0(benchmark):
@@ -220,15 +283,12 @@ if __name__ == "__main__":
     ap.add_argument("scale", nargs="?", type=float, default=1.0)
     ap.add_argument("--profile", action="store_true",
                     help="print the kernel event mix + operator profile")
-    ap.add_argument("--backend", choices=("inprocess", "pool"),
-                    default="pool",
-                    help="'pool' (default) A/Bs the process-pool backend "
-                         "against in-process; 'inprocess' skips the sweep")
     ap.add_argument("--workers", type=int, default=4,
-                    help="top of the pool worker sweep (default 4)")
+                    help="top of the pool worker sweep (default 4; "
+                         "0 skips the sweep)")
     opts = ap.parse_args()
     payload = run_p0(scale=opts.scale, profile=opts.profile,
-                     backend=opts.backend, workers=opts.workers)
+                     workers=opts.workers)
     enforce_guards(payload)
     pool_speedup = payload["summary"]["pool_speedup"]
     chaos = payload["multi_tenant_serving"]["chaos_sweep"]

@@ -31,6 +31,8 @@ windowed aggregator (its scalar oracle).
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import os
 import random
@@ -230,10 +232,11 @@ _WRITE_BUILDERS: Dict[str, Callable] = {
 # end-to-end jobs: wall clock + DES event churn
 # ---------------------------------------------------------------------------
 
-def _fresh(policies=None,
-           integrity: bool = True,
+def _fresh(policies=None, integrity: bool = True, observer=None,
            ) -> Tuple[Simulator, DataflowContext, SimEngine]:
     sim = Simulator()
+    if observer is not None:
+        sim.attach_observer(observer)
     cluster = make_cluster(sim, 2, 4, host_bw=Gbit_per_s(10))
     ctx = DataflowContext(default_parallelism=16, cost_model=_SIM_COST)
     cfg = EngineConfig(check_interval=_CHECK_INTERVAL, resilience=policies,
@@ -316,6 +319,70 @@ def measure_end_to_end(name: str, scale: float = 1.0) -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
+# the A/B procedure: interleaved legs, results checked on every run
+# ---------------------------------------------------------------------------
+
+#: One timed run of one A/B leg: returns ``(wall seconds, result digest)``.
+Leg = Callable[[], Tuple[float, Any]]
+
+
+def _interleave(legs: Dict[str, Leg], reps: int,
+                what: str) -> Tuple[Dict[str, List[float]], Any]:
+    """Run every leg ``reps`` times, interleaved; the one A/B loop.
+
+    The legs of a rep run back-to-back with the order rotated every rep,
+    so slow load drift hits each leg in each position equally.  Every
+    run's digest must equal the first run's — a speedup is meaningless
+    unless both sides compute the same thing — else this raises
+    ``AssertionError`` naming the leg that disagreed.  Returns the
+    per-leg wall times (rep order) and the agreed digest.
+    """
+    names = list(legs)
+    times: Dict[str, List[float]] = {leg: [] for leg in names}
+    first: Optional[Tuple[str, Any]] = None
+    for rep in range(reps):
+        for i in range(len(names)):
+            leg = names[(rep + i) % len(names)]
+            secs, digest = legs[leg]()
+            times[leg].append(secs)
+            if first is None:
+                first = (leg, digest)
+            elif digest != first[1]:
+                raise AssertionError(
+                    f"{what}: leg {leg!r} computed a different result "
+                    f"than leg {first[0]!r}")
+    return times, None if first is None else first[1]
+
+
+def _row_reprs(rows) -> List[str]:
+    return list(map(repr, rows))
+
+
+def _collect_leg(build: Callable[[DataflowContext], Any],
+                 digest: Callable[[Any], Any], **collect_kw) -> Leg:
+    """A leg timing ``build(fresh context).collect(**collect_kw)``."""
+    def run() -> Tuple[float, Any]:
+        q = build(DataflowContext(default_parallelism=8))
+        t0 = time.perf_counter()
+        out = q.collect(**collect_kw)
+        secs = time.perf_counter() - t0
+        return secs, digest(out)
+    return run
+
+
+def _speedup_report(times: Dict[str, List[float]],
+                    records: int) -> Dict[str, Any]:
+    """Best-of-reps report of a ``baseline`` / ``current`` A/B."""
+    best = {leg: min(times[leg]) for leg in ("baseline", "current")}
+    return {
+        "records": records,
+        **{leg: {"wall_seconds": secs, "records_per_sec": records / secs}
+           for leg, secs in best.items()},
+        "speedup": best["baseline"] / best["current"],
+    }
+
+
+# ---------------------------------------------------------------------------
 # SQL analytics: columnar engine vs the row interpreter
 # ---------------------------------------------------------------------------
 
@@ -351,30 +418,15 @@ def measure_sql_analytics(scale: float = 1.0,
     """
     from ..sql import DataFrame
     rows = _sql_rows(scale)
-    times: Dict[str, List[float]] = {"baseline": [], "current": []}
-    reference: Optional[List[str]] = None
-    for _ in range(reps):
-        for leg, columnar in (("baseline", False), ("current", True)):
-            ctx = DataflowContext(default_parallelism=8)
-            q = _sql_query(DataFrame.from_rows(ctx, rows))
-            t0 = time.perf_counter()
-            out = q.collect(columnar=columnar)
-            times[leg].append(time.perf_counter() - t0)
-            digest = list(map(repr, out))
-            if reference is None:
-                reference = digest
-            elif digest != reference:
-                raise AssertionError(
-                    "columnar and row SQL engines disagree")
-    best = {leg: min(ts) for leg, ts in times.items()}
-    return {
-        "records": len(rows),
-        "baseline": {"wall_seconds": best["baseline"],
-                     "records_per_sec": len(rows) / best["baseline"]},
-        "current": {"wall_seconds": best["current"],
-                    "records_per_sec": len(rows) / best["current"]},
-        "speedup": best["baseline"] / best["current"],
-    }
+
+    def build(ctx):
+        return _sql_query(DataFrame.from_rows(ctx, rows))
+
+    times, _ = _interleave(
+        {"baseline": _collect_leg(build, _row_reprs, columnar=False),
+         "current": _collect_leg(build, _row_reprs, columnar=True)},
+        reps, "columnar vs row SQL")
+    return _speedup_report(times, len(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -416,41 +468,27 @@ def measure_sql_join(scale: float = 1.0, reps: int = 3) -> Dict[str, Any]:
     scale on every run.
     """
     fact, dim = _join_tables(scale)
-    times: Dict[str, List[float]] = {"baseline": [], "current": []}
-    reference: Optional[List[str]] = None
-    for _ in range(reps):
-        for leg, columnar in (("baseline", False), ("current", True)):
-            ctx = DataflowContext(default_parallelism=8)
-            q = _join_query(ctx, fact, dim)
-            t0 = time.perf_counter()
-            out = q.collect(columnar=columnar, adaptive=False)
-            times[leg].append(time.perf_counter() - t0)
-            digest = list(map(repr, out))
-            if reference is None:
-                reference = digest
-            elif digest != reference:
-                raise AssertionError(
-                    "columnar and row join engines disagree")
+
+    def build(ctx):
+        return _join_query(ctx, fact, dim)
+
+    times, reference = _interleave(
+        {"baseline": _collect_leg(build, _row_reprs, columnar=False,
+                                  adaptive=False),
+         "current": _collect_leg(build, _row_reprs, columnar=True,
+                                 adaptive=False)},
+        reps, "columnar vs row join")
     # adaptive leg: same plan, AQE on — the result set must not change
-    ctx = DataflowContext(default_parallelism=8)
-    q = _join_query(ctx, fact, dim)
+    q = build(DataflowContext(default_parallelism=8))
     t0 = time.perf_counter()
     adaptive_out = q.collect(columnar=True, adaptive=True)
     adaptive_secs = time.perf_counter() - t0
-    assert reference is not None
-    if sorted(map(repr, adaptive_out)) != sorted(reference):
+    if sorted(_row_reprs(adaptive_out)) != sorted(reference):
         raise AssertionError("adaptive execution changed the join result")
     report = q.last_adaptive_report
-    best = {leg: min(ts) for leg, ts in times.items()}
-    n = len(fact)
     return {
-        "records": n,
+        **_speedup_report(times, len(fact)),
         "dim_records": len(dim),
-        "baseline": {"wall_seconds": best["baseline"],
-                     "records_per_sec": n / best["baseline"]},
-        "current": {"wall_seconds": best["current"],
-                    "records_per_sec": n / best["current"]},
-        "speedup": best["baseline"] / best["current"],
         "adaptive": {
             "wall_seconds": adaptive_secs,
             "consistent": True,
@@ -484,32 +522,18 @@ def measure_narrow_chain(scale: float = 1.0, reps: int = 3) -> Dict[str, Any]:
     run uses a fresh context so nothing is cached across legs.
     """
     import pickle
-    times: Dict[str, List[float]] = {"baseline": [], "current": []}
-    n_records = 0
-    reference: Optional[bytes] = None
-    for _ in range(reps):
-        for leg, fused in (("baseline", False), ("current", True)):
-            ctx = DataflowContext(default_parallelism=8)
+
+    def build(fused: bool):
+        def plan(ctx: DataflowContext):
             ctx.fusion_enabled = fused
-            ds = _chain_dataset(ctx, scale)
-            t0 = time.perf_counter()
-            out = ds.collect()
-            times[leg].append(time.perf_counter() - t0)
-            n_records = int(250_000 * scale)
-            digest = pickle.dumps(out)
-            if reference is None:
-                reference = digest
-            elif digest != reference:
-                raise AssertionError("fused and unfused pipelines disagree")
-    best = {leg: min(ts) for leg, ts in times.items()}
-    return {
-        "records": n_records,
-        "baseline": {"wall_seconds": best["baseline"],
-                     "records_per_sec": n_records / best["baseline"]},
-        "current": {"wall_seconds": best["current"],
-                    "records_per_sec": n_records / best["current"]},
-        "speedup": best["baseline"] / best["current"],
-    }
+            return _chain_dataset(ctx, scale)
+        return plan
+
+    times, _ = _interleave(
+        {"baseline": _collect_leg(build(False), pickle.dumps),
+         "current": _collect_leg(build(True), pickle.dumps)},
+        reps, "fused vs unfused pipeline")
+    return _speedup_report(times, int(250_000 * scale))
 
 
 # ---------------------------------------------------------------------------
@@ -640,17 +664,14 @@ def measure_pool_backend(scale: float = 1.0,
 
             per: Dict[str, Any] = {}
             for name, (_build, plan) in _POOL_JOBS.items():
-                times: Dict[str, List[float]] = {"inprocess": [], "pool": []}
-                for _ in range(reps):
-                    for leg, be in (("inprocess", None), ("pool", backend)):
-                        secs, digest = _run_pool_leg(plan, data[name], be)
-                        times[leg].append(secs)
-                        if name not in reference:
-                            reference[name] = digest
-                        elif digest != reference[name]:
-                            raise AssertionError(
-                                f"{name}: pool and in-process backends "
-                                f"disagree at {workers} workers")
+                times, digest = _interleave(
+                    {leg: functools.partial(_run_pool_leg, plan, data[name],
+                                            be)
+                     for leg, be in (("inprocess", None), ("pool", backend))},
+                    reps, f"{name} at {workers} workers")
+                if reference.setdefault(name, digest) != digest:
+                    raise AssertionError(
+                        f"{name}: results differ between worker counts")
                 best = {leg: min(ts) for leg, ts in times.items()}
                 n = records[name]
                 per[name] = {
@@ -723,33 +744,29 @@ def measure_windowed_aggregation(scale: float = 1.0,
     window = WindowSpec.tumbling(1.0)
     agg = WindowAgg.by_name("sum")
 
-    def leg(vectorized: bool):
-        aggr = VectorizedWindowAggregator(
-            window, agg, watermark_delay=0.5, allowed_lateness=0.5,
-            vectorized=vectorized)
-        out = []
-        t0 = time.perf_counter()
-        for lo in range(0, n, batch_records):
-            hi = min(lo + batch_records, n)
-            out.extend(aggr.add_batch(
-                EventBatch(ts[lo:hi], keys[lo:hi], values[lo:hi])))
-        out.extend(aggr.flush())
-        secs = time.perf_counter() - t0
-        return secs, out, aggr
+    fast_path: Dict[str, int] = {}
 
-    times: Dict[str, List[float]] = {"scalar": [], "vectorized": []}
-    fast_batches = fallback_batches = 0
-    for _ in range(reps):
-        s_secs, s_out, _s = leg(False)
-        v_secs, v_out, v_aggr = leg(True)
-        if pickle.dumps(s_out, 4) != pickle.dumps(v_out, 4):
-            raise AssertionError(
-                "vectorized windowed aggregation diverged from the "
-                "scalar oracle")
-        times["scalar"].append(s_secs)
-        times["vectorized"].append(v_secs)
-        fast_batches = v_aggr.fast_batches
-        fallback_batches = v_aggr.fallback_batches
+    def leg(vectorized: bool) -> Leg:
+        def run() -> Tuple[float, bytes]:
+            aggr = VectorizedWindowAggregator(
+                window, agg, watermark_delay=0.5, allowed_lateness=0.5,
+                vectorized=vectorized)
+            out = []
+            t0 = time.perf_counter()
+            for lo in range(0, n, batch_records):
+                hi = min(lo + batch_records, n)
+                out.extend(aggr.add_batch(
+                    EventBatch(ts[lo:hi], keys[lo:hi], values[lo:hi])))
+            out.extend(aggr.flush())
+            secs = time.perf_counter() - t0
+            if vectorized:
+                fast_path["fast_batches"] = aggr.fast_batches
+                fast_path["fallback_batches"] = aggr.fallback_batches
+            return secs, pickle.dumps(out, 4)
+        return run
+
+    times, _ = _interleave({"scalar": leg(False), "vectorized": leg(True)},
+                           reps, "windowed aggregation vs scalar oracle")
     best = {leg_name: min(ts_) for leg_name, ts_ in times.items()}
     return {
         "scale": scale,
@@ -761,8 +778,7 @@ def measure_windowed_aggregation(scale: float = 1.0,
                    "records_per_sec": n / best["scalar"]},
         "current": {"seconds": best["vectorized"],
                     "records_per_sec": n / best["vectorized"],
-                    "fast_batches": fast_batches,
-                    "fallback_batches": fallback_batches},
+                    **fast_path},
         "baseline": {"seconds": best["scalar"],
                      "records_per_sec": n / best["scalar"]},
         "speedup": best["scalar"] / best["vectorized"],
@@ -1007,11 +1023,87 @@ def _median_ratio(times: Dict[str, List[float]], leg: str) -> float:
     return statistics.median(t / o for t, o in zip(times[leg], times["off"]))
 
 
+def _retry_below(trial: Callable[[], Dict[str, Any]], key: str,
+                 attempts: int, guard: float) -> Dict[str, Any]:
+    """Run up to ``attempts`` trials; keep the one with the lowest ``key``.
+
+    Ambient load on shared runners is bursty at every timescale, so a
+    single trial can read several percent high by pure noise.  Stops at
+    the first trial whose ``key`` reads below ``guard``: a *real*
+    regression above the guard fails every attempt, while a noise spike
+    rarely survives three.
+    """
+    best: Optional[Dict[str, Any]] = None
+    for _ in range(max(1, attempts)):
+        result = trial()
+        if best is None or result[key] < best[key]:
+            best = result
+        if best[key] < guard:
+            break
+    assert best is not None
+    return best
+
+
 class _NoopObserver:
     """Does the full per-dispatch observer call, records nothing."""
 
     def on_event(self, sim, event, t: float) -> None:
         pass
+
+
+def _overhead_trial(scale: float, reps: int, name: str,
+                    legs: Dict[str, Dict[str, Any]],
+                    ratios: Dict[str, str]) -> Dict[str, Any]:
+    """One interleaved trial of basket job ``name`` across engine configs.
+
+    ``legs`` maps each leg to the :func:`_fresh` keywords it runs with
+    (``off`` is the reference leg); a ``traced=True`` leg additionally
+    runs with a tracer and metrics registry installed and must produce a
+    valid trace.  A GC collection precedes every timed run.  Reports
+    ``<leg>_seconds`` (best of reps) for every leg and, for each
+    ``ratios`` entry ``key -> leg``, ``key`` = the median per-rep
+    ``leg``/``off`` ratio minus one.
+    """
+    from ..obs import metrics as obs_metrics
+    from ..obs import trace as obs_trace
+    from ..obs.metrics import MetricsRegistry
+    from ..obs.trace import Tracer
+
+    report: Dict[str, Any] = {"workload": name}
+
+    def leg(traced: bool = False, **fresh_kw) -> Tuple[float, int]:
+        sim, ctx, engine = _fresh(**fresh_kw)
+        tracer = Tracer() if traced else None
+        if tracer is not None:
+            obs_trace.set_tracer(tracer)
+            obs_metrics.set_registry(MetricsRegistry())
+        try:
+            ds, report["records"], digest = _JOB_BUILDERS[name](ctx, scale)
+            gc.collect()
+            t0 = time.perf_counter()
+            res = sim.run_until_done(engine.collect(ds))
+            secs = time.perf_counter() - t0
+        finally:
+            if tracer is not None:
+                obs_trace.set_tracer(None)
+                obs_metrics.set_registry(None)
+        if tracer is not None:
+            problems = tracer.validate()
+            if problems:
+                raise AssertionError(
+                    f"traced leg produced an invalid trace: {problems}")
+            report["traced_spans"] = len(tracer.spans)
+        return secs, digest(res.value)
+
+    times, _ = _interleave(
+        {leg_name: functools.partial(leg, **kw)
+         for leg_name, kw in legs.items()},
+        reps, f"{name} overhead A/B")
+    for leg_name, ts in times.items():
+        report[f"{leg_name}_seconds"] = min(ts)
+    for key, leg_name in ratios.items():
+        report[key] = _median_ratio(times, leg_name) - 1.0
+    return report
 
 
 def measure_obs_overhead(scale: float = 1.0, reps: int = 15,
@@ -1039,91 +1131,19 @@ def measure_obs_overhead(scale: float = 1.0, reps: int = 15,
     so slow load drift hits each leg in each position equally) and a GC
     collection precedes every timed run; the reported overheads are the
     **median of the per-round ratios**, which cancels within-round load
-    drift and rejects rounds where a spike hit one leg only.
-
-    Because ambient load on shared runners is bursty at every timescale,
-    a single trial can still read several percent high by pure noise.
-    The measurement therefore retries (up to ``attempts`` trials) while
-    the guarded ratio reads above ``guard``, and keeps the best trial: a
-    *real* regression above the guard fails every attempt, while a noise
-    spike rarely survives three.
+    drift and rejects rounds where a spike hit one leg only.  The trial
+    retries (up to ``attempts``) while the guarded ratio reads above
+    ``guard`` and keeps the best one (see :func:`_retry_below`).
     """
-    best_result: Optional[Dict[str, Any]] = None
-    for _ in range(max(1, attempts)):
-        result = _measure_obs_overhead_once(scale, reps, name)
-        if (best_result is None
-                or result["enabled_overhead"]
-                < best_result["enabled_overhead"]):
-            best_result = result
-        if best_result["enabled_overhead"] < guard:
-            break
-    assert best_result is not None
-    return best_result
-
-
-def _measure_obs_overhead_once(scale: float, reps: int,
-                               name: str) -> Dict[str, Any]:
-    """One trial of the off/noop/traced A/B (see measure_obs_overhead)."""
-    import gc
-
-    from ..obs import metrics as obs_metrics
-    from ..obs import trace as obs_trace
-    from ..obs.metrics import MetricsRegistry
-    from ..obs.trace import Tracer
-
-    times: Dict[str, List[float]] = {"off": [], "noop": [], "traced": []}
-    reference: Optional[int] = None
-    n_records = 0
-    spans = 0
-    legs = ("off", "noop", "traced")
-    for rep in range(reps):
-        for i in range(len(legs)):
-            leg = legs[(rep + i) % len(legs)]
-            sim, ctx, engine = _fresh()
-            tracer = registry = None
-            if leg == "noop":
-                sim.attach_observer(_NoopObserver())
-            elif leg == "traced":
-                tracer = Tracer()
-                registry = MetricsRegistry()
-                obs_trace.set_tracer(tracer)
-                obs_metrics.set_registry(registry)
-            try:
-                ds, n_records, digest = _JOB_BUILDERS[name](ctx, scale)
-                gc.collect()
-                t0 = time.perf_counter()
-                res = sim.run_until_done(engine.collect(ds))
-                times[leg].append(time.perf_counter() - t0)
-            finally:
-                if leg == "traced":
-                    obs_trace.set_tracer(None)
-                    obs_metrics.set_registry(None)
-            if tracer is not None:
-                spans = len(tracer.spans)
-                problems = tracer.validate()
-                if problems:
-                    raise AssertionError(
-                        f"traced leg produced an invalid trace: {problems}")
-            d = digest(res.value)
-            if reference is None:
-                reference = d
-            elif d != reference:
-                raise AssertionError(
-                    f"obs leg {leg!r} computed a different result")
-    best = {leg: min(ts) for leg, ts in times.items()}
-
-    return {
-        "workload": name,
-        "records": n_records,
-        "off_seconds": best["off"],
-        "noop_seconds": best["noop"],
-        "traced_seconds": best["traced"],
-        "traced_spans": spans,
-        # the guarded number: disabled overhead <= enabled overhead
-        "enabled_overhead": _median_ratio(times, "traced") - 1.0,
-        # informational: one observer call per kernel dispatch (opt-in)
-        "kernel_observer_overhead": _median_ratio(times, "noop") - 1.0,
-    }
+    legs = {"off": {}, "noop": {"observer": _NoopObserver()},
+            "traced": {"traced": True}}
+    # the guarded number: disabled overhead <= enabled overhead;
+    # informational: one observer call per kernel dispatch (opt-in)
+    ratios = {"enabled_overhead": "traced",
+              "kernel_observer_overhead": "noop"}
+    return _retry_below(
+        lambda: _overhead_trial(scale, reps, name, legs, ratios),
+        "enabled_overhead", attempts, guard)
 
 
 def measure_resilience_overhead(scale: float = 1.0, reps: int = 15,
@@ -1144,28 +1164,8 @@ def measure_resilience_overhead(scale: float = 1.0, reps: int = 15,
       poll timer.
 
     Both legs must compute the identical result.  The measurement and
-    noise handling mirror :func:`measure_obs_overhead`: legs run
-    back-to-back within each rep with rotated order, the reported
-    overhead is the median of the per-rep ratios, and the trial retries
-    (up to ``attempts``) while the ratio reads above ``guard``.
+    noise handling mirror :func:`measure_obs_overhead`.
     """
-    best_result: Optional[Dict[str, Any]] = None
-    for _ in range(max(1, attempts)):
-        result = _measure_resilience_overhead_once(scale, reps, name)
-        if (best_result is None
-                or result["armed_overhead"] < best_result["armed_overhead"]):
-            best_result = result
-        if best_result["armed_overhead"] < guard:
-            break
-    assert best_result is not None
-    return best_result
-
-
-def _measure_resilience_overhead_once(scale: float, reps: int,
-                                      name: str) -> Dict[str, Any]:
-    """One trial of the off/armed A/B (see measure_resilience_overhead)."""
-    import gc
-
     from ..resilience import HedgePolicy, ResiliencePolicies, RetryPolicy
 
     policies = ResiliencePolicies(
@@ -1173,35 +1173,11 @@ def _measure_resilience_overhead_once(scale: float, reps: int,
                           seed=0),
         hedge=HedgePolicy(multiplier=3.0),
         deadline_timeout=1e9)
-    times: Dict[str, List[float]] = {"off": [], "armed": []}
-    reference: Optional[int] = None
-    n_records = 0
-    legs = ("off", "armed")
-    for rep in range(reps):
-        for i in range(len(legs)):
-            leg = legs[(rep + i) % len(legs)]
-            sim, ctx, engine = _fresh(
-                policies=policies if leg == "armed" else None)
-            ds, n_records, digest = _JOB_BUILDERS[name](ctx, scale)
-            gc.collect()
-            t0 = time.perf_counter()
-            res = sim.run_until_done(engine.collect(ds))
-            times[leg].append(time.perf_counter() - t0)
-            d = digest(res.value)
-            if reference is None:
-                reference = d
-            elif d != reference:
-                raise AssertionError(
-                    f"resilience leg {leg!r} computed a different result")
-
-    return {
-        "workload": name,
-        "records": n_records,
-        "off_seconds": min(times["off"]),
-        "armed_seconds": min(times["armed"]),
-        # the guarded number: armed-but-idle policies vs no policies
-        "armed_overhead": _median_ratio(times, "armed") - 1.0,
-    }
+    legs = {"off": {}, "armed": {"policies": policies}}
+    return _retry_below(
+        lambda: _overhead_trial(scale, reps, name, legs,
+                                {"armed_overhead": "armed"}),
+        "armed_overhead", attempts, guard)
 
 
 def measure_integrity_overhead(scale: float = 1.0, reps: int = 15,
@@ -1217,57 +1193,13 @@ def measure_integrity_overhead(scale: float = 1.0, reps: int = 15,
     plane must cost < 5% on a clean run.
 
     Both legs must compute the identical result.  The measurement and
-    noise handling mirror :func:`measure_obs_overhead`: legs run
-    back-to-back within each rep with rotated order, the reported
-    overhead is the median of the per-rep ratios, and the trial retries
-    (up to ``attempts``) while the guarded ratio reads above ``guard``.
+    noise handling mirror :func:`measure_obs_overhead`.
     """
-    best_result: Optional[Dict[str, Any]] = None
-    for _ in range(max(1, attempts)):
-        result = _measure_integrity_overhead_once(scale, reps, name)
-        if (best_result is None
-                or result["checksum_overhead"]
-                < best_result["checksum_overhead"]):
-            best_result = result
-        if best_result["checksum_overhead"] < guard:
-            break
-    assert best_result is not None
-    return best_result
-
-
-def _measure_integrity_overhead_once(scale: float, reps: int,
-                                     name: str) -> Dict[str, Any]:
-    """One trial of the checksums on/off A/B (see the public wrapper)."""
-    import gc
-
-    times: Dict[str, List[float]] = {"off": [], "on": []}
-    reference: Optional[int] = None
-    n_records = 0
-    legs = ("off", "on")
-    for rep in range(reps):
-        for i in range(len(legs)):
-            leg = legs[(rep + i) % len(legs)]
-            sim, ctx, engine = _fresh(integrity=(leg == "on"))
-            ds, n_records, digest = _JOB_BUILDERS[name](ctx, scale)
-            gc.collect()
-            t0 = time.perf_counter()
-            res = sim.run_until_done(engine.collect(ds))
-            times[leg].append(time.perf_counter() - t0)
-            d = digest(res.value)
-            if reference is None:
-                reference = d
-            elif d != reference:
-                raise AssertionError(
-                    f"integrity leg {leg!r} computed a different result")
-
-    return {
-        "workload": name,
-        "records": n_records,
-        "off_seconds": min(times["off"]),
-        "on_seconds": min(times["on"]),
-        # the guarded number: sealed + verified map outputs vs neither
-        "checksum_overhead": _median_ratio(times, "on") - 1.0,
-    }
+    legs = {"off": {"integrity": False}, "on": {}}
+    return _retry_below(
+        lambda: _overhead_trial(scale, reps, name, legs,
+                                {"checksum_overhead": "on"}),
+        "checksum_overhead", attempts, guard)
 
 
 def profile_end_to_end(name: str = "wordcount",
@@ -1300,7 +1232,7 @@ def run_suite(scale: float = 1.0, verbose: bool = True,
 
     ``pool_workers`` is the top of the process-pool scaling sweep
     (``None`` or 0 skips the pool measurement entirely — the
-    ``--backend inprocess`` escape hatch).
+    ``--workers 0`` escape hatch).
     """
     workloads: Dict[str, Any] = {}
     for name in SIM_BASKET:
@@ -1394,13 +1326,10 @@ def run_suite(scale: float = 1.0, verbose: bool = True,
     return payload
 
 
-def _summarize(workloads: Dict[str, Any],
-               obs: Optional[Dict[str, Any]] = None,
-               resil: Optional[Dict[str, Any]] = None,
-               pool: Optional[Dict[str, Any]] = None,
-               streaming: Optional[Dict[str, Any]] = None,
-               serving: Optional[Dict[str, Any]] = None,
-               integ: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+def _summarize(workloads: Dict[str, Any], obs: Dict[str, Any],
+               resil: Dict[str, Any], pool: Optional[Dict[str, Any]],
+               streaming: Dict[str, Any], serving: Dict[str, Any],
+               integ: Dict[str, Any]) -> Dict[str, Any]:
     recs = sum(workloads[n]["shuffle_write"]["records"] for n in HEADLINE)
     secs = sum(workloads[n]["shuffle_write"]["seconds"] for n in HEADLINE)
     return {
@@ -1413,33 +1342,26 @@ def _summarize(workloads: Dict[str, Any],
         "join_adaptive_consistent":
             workloads["sql_join"]["adaptive"]["consistent"],
         "fusion_speedup": workloads["narrow_chain"]["speedup"],
-        "obs_enabled_overhead": obs["enabled_overhead"] if obs else None,
-        "obs_kernel_observer_overhead":
-            obs["kernel_observer_overhead"] if obs else None,
-        "resilience_armed_overhead":
-            resil["armed_overhead"] if resil else None,
-        "integrity_checksum_overhead":
-            integ["checksum_overhead"] if integ else None,
+        "obs_enabled_overhead": obs["enabled_overhead"],
+        "obs_kernel_observer_overhead": obs["kernel_observer_overhead"],
+        "resilience_armed_overhead": resil["armed_overhead"],
+        "integrity_checksum_overhead": integ["checksum_overhead"],
         "pool_speedup": pool["speedup"] if pool else None,
         "pool_workers": pool["workers"] if pool else None,
         "pool_insufficient_cores":
             pool["insufficient_cores"] if pool else None,
-        "windowed_speedup": workloads["windowed_aggregation"]["speedup"]
-            if "windowed_aggregation" in workloads else None,
+        "windowed_speedup": workloads["windowed_aggregation"]["speedup"],
         "sustained_rates": {
-            s: v["sustained_rate"]
-            for s, v in streaming["scenarios"].items()
-        } if streaming else None,
+            s: v["sustained_rate"] for s, v in streaming["scenarios"].items()
+        },
         "serving_jain_fairness": {
             m: v["jain_fairness"] for m, v in serving["mixes"].items()
-        } if serving else None,
+        },
         "serving_goodput_per_dollar": {
             m: v["goodput_per_dollar"] for m, v in serving["mixes"].items()
-        } if serving else None,
-        "serving_chaos_conserved":
-            serving["chaos_sweep"]["all_conserved"] if serving else None,
-        "serving_chaos_graceful":
-            serving["chaos_sweep"]["graceful"] if serving else None,
+        },
+        "serving_chaos_conserved": serving["chaos_sweep"]["all_conserved"],
+        "serving_chaos_graceful": serving["chaos_sweep"]["graceful"],
     }
 
 

@@ -131,12 +131,13 @@ class TestIntegrityOracle:
         assert "integrity" in LAYERS
         assert LAYERS["integrity"] is check_integrity
 
-    # seeds 0-5 run in test_oracle.py's all-layer sweep; here one seed
+    # test_oracle.py's all-layer sweep checks ok-ness; here every seed
     # deep-checks the report shape and that corruption actually fired
-    def test_report_is_complete_and_injecting(self):
-        report = check_integrity(0)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_report_is_complete_and_injecting(self, seed):
+        report = check_integrity(seed)
         assert report.ok, report.failures
-        assert report.injections > 0
+        assert report.injections > 0, f"seed {seed} injected nothing"
         labels = " ".join(report.checks)
         for needle in ("recovery_equivalence", "trace_determinism",
                        "accounting", "no_latent_after_scrub",
