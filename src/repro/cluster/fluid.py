@@ -13,7 +13,7 @@ import math
 from typing import Dict
 
 from ..simcore.events import Event
-from ..simcore.kernel import Simulator
+from ..simcore.kernel import Simulator, Timer
 
 __all__ = ["FluidResource"]
 
@@ -49,7 +49,7 @@ class FluidResource:
         self._jobs: Dict[int, _Job] = {}
         self._next_jid = 0
         self._last_t = sim.now
-        self._timer_gen = 0
+        self._timer = Timer(sim, self._tick)
         #: cumulative work served
         self.total_work = 0.0
 
@@ -123,11 +123,4 @@ class FluidResource:
         # which would stall the simulation.  Overshooting merely completes
         # the job (progress accounting tolerates negative remainders).
         next_dt = max(next_dt, 4.0 * math.ulp(max(abs(self.sim.now), 1.0)))
-        self._timer_gen += 1
-        gen = self._timer_gen
-
-        def _waker(sim: Simulator):
-            yield sim.timeout(max(next_dt, 0.0))
-            if gen == self._timer_gen:
-                self._tick()
-        self.sim.process(_waker(self.sim), name="fluid-waker")
+        self._timer.arm(next_dt)

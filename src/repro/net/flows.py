@@ -65,15 +65,18 @@ def allocate_rates(
             flows_on_link.setdefault(lk, set()).add(idx)
 
     remaining = {lk: float(capacities[lk]) for lk in flows_on_link}
+    # Per-link weight sums, kept in step with flows_on_link (same keys, same
+    # order) and re-summed only when a link's member set shrinks.
+    total_w = {lk: sum(flows[i].weight for i in members)
+               for lk, members in flows_on_link.items()}
     level: Dict[int, float] = {i: 0.0 for i in active}
 
     while active:
         # Tightest link bounds the per-unit-weight growth of active flows.
         grow = float("inf")
-        for lk, members in flows_on_link.items():
-            total_w = sum(flows[i].weight for i in members)
-            if total_w > 0:
-                grow = min(grow, remaining[lk] / total_w)
+        for lk, tw in total_w.items():
+            if tw > 0:
+                grow = min(grow, remaining[lk] / tw)
         # Limited flows may stop growing before any link saturates.
         limited = [
             i for i in active
@@ -86,24 +89,30 @@ def allocate_rates(
         if grow > 0:
             for i in active:
                 level[i] += grow * flows[i].weight
-            for lk, members in flows_on_link.items():
-                used = grow * sum(flows[i].weight for i in members)
-                remaining[lk] -= used
+            for lk, tw in total_w.items():
+                remaining[lk] -= grow * tw
                 if remaining[lk] < 0:
                     remaining[lk] = 0.0
 
         frozen: Set[int] = set(limited)
         for lk, members in flows_on_link.items():
-            if members and remaining[lk] <= 1e-12:
+            if remaining[lk] <= 1e-12:
                 frozen |= members
         if not frozen:
             # numerical stall: freeze everything at current level
             frozen = set(active)
+        touched: Set[LinkKey] = set()
         for i in frozen:
             rates[flows[i].flow_id] = min(level[i], flows[i].limit)
             for lk in flows[i].links:
                 flows_on_link[lk].discard(i)
+            touched.update(flows[i].links)
         active -= frozen
-        flows_on_link = {lk: m for lk, m in flows_on_link.items() if m}
+        for lk in touched:
+            members = flows_on_link[lk]
+            if members:
+                total_w[lk] = sum(flows[i].weight for i in members)
+            else:
+                del flows_on_link[lk], total_w[lk]
 
     return rates

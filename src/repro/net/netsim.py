@@ -2,8 +2,9 @@
 
 :class:`NetworkSim` marries the topology/routing layer with the max-min
 rate allocator and the DES kernel: every active transfer is a fluid flow;
-whenever a flow starts or finishes, rates are recomputed globally and the
-next completion is rescheduled.  This is the standard flow-level model
+at each simulated instant where flows start or finish, rates are
+recomputed globally (once, however many flows changed) and the next
+completion is rescheduled.  This is the standard flow-level model
 used by datacenter-network simulators — accurate for transfers that are
 large relative to RTT (shuffles, block writes, VM migrations), which is
 exactly what the experiments here measure.
@@ -13,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, List, Optional
 
 from ..common.errors import NetworkError
 from ..common.units import Gbit_per_s
 from ..simcore.events import Event
-from ..simcore.kernel import Simulator
+from ..simcore.kernel import Simulator, Timer
 from .flows import FlowSpec, allocate_rates
 from .topology import Link, Topology
 
@@ -49,22 +50,21 @@ class TransferStats:
 
 
 class _Flow:
-    __slots__ = ("fid", "src", "dst", "nbytes", "remaining", "links",
-                 "limit", "event", "start", "weight")
+    __slots__ = ("fid", "src", "dst", "nbytes", "remaining", "keys",
+                 "spec", "event", "start")
 
     def __init__(self, fid: int, src: str, dst: str, nbytes: float,
                  links: List[Link], limit: float, event: Event,
-                 start: float, weight: float = 1.0) -> None:
+                 start: float, weight: float) -> None:
         self.fid = fid
         self.src = src
         self.dst = dst
         self.nbytes = nbytes
         self.remaining = float(nbytes)
-        self.links = links
-        self.limit = limit
+        self.keys = tuple(l.key for l in links)
+        self.spec = FlowSpec(fid, self.keys, limit, weight)
         self.event = event
         self.start = start
-        self.weight = weight
 
 
 class NetworkSim:
@@ -74,6 +74,12 @@ class NetworkSim:
     fires with a :class:`TransferStats` when the last byte lands.  Per-link
     byte counters (:attr:`link_bytes`) and a global counter
     (:attr:`total_bytes`) support traffic accounting in experiments.
+
+    Rates are recomputed at most once per simulated timestamp: a flow that
+    arrives marks the network dirty and arms a zero-delay flush on the one
+    re-armable :class:`~repro.simcore.kernel.Timer`, which otherwise waits
+    for the next flow completion.  Every arrival at that timestamp shares
+    the flush.
     """
 
     def __init__(self, sim: Simulator, topo: Topology,
@@ -85,7 +91,10 @@ class NetworkSim:
         self._next_fid = 0
         self._last_t = sim.now
         self._rates: Dict[int, float] = {}
-        self._timer_gen = 0
+        #: capacity of every link some flow has crossed, by link key
+        self._caps: Dict = {}
+        self._timer = Timer(sim, self._reallocate)
+        self._dirty = False
         #: cumulative bytes carried per link key
         self.link_bytes: Dict = {}
         #: cumulative bytes moved over the network (excludes local copies)
@@ -108,6 +117,8 @@ class NetworkSim:
         """
         if weight <= 0:
             raise NetworkError("transfer weight must be positive")
+        if limit <= 0:
+            raise NetworkError("transfer limit must be positive")
         if nbytes < 0:
             raise NetworkError(f"negative transfer size {nbytes}")
         self.n_transfers += 1
@@ -127,11 +138,8 @@ class NetworkSim:
         # charge path latency up-front, then register the fluid flow
         def _starter(sim: Simulator):
             yield sim.timeout(latency)
-            flow = _Flow(fid, src, dst, nbytes, path, limit, ev, start,
-                         weight)
-            self._flows[fid] = flow
-            self.total_bytes += nbytes
-            self._reallocate()
+            self._arrive(_Flow(fid, src, dst, nbytes, path, limit, ev, start,
+                               weight), path)
         self.sim.process(_starter(self.sim), name=f"xfer{fid}")
         return ev
 
@@ -140,37 +148,48 @@ class NetworkSim:
         """Number of flows currently moving bytes."""
         return len(self._flows)
 
-    def current_rate(self, ev_or_fid) -> Optional[float]:
-        """Instantaneous rate of a flow id (testing/inspection hook)."""
-        return self._rates.get(ev_or_fid)
+    def current_rate(self, fid: int) -> Optional[float]:
+        """Instantaneous rate of flow ``fid`` (testing/inspection hook).
+
+        None until the flow's first reallocation and after it completes.
+        """
+        return self._rates.get(fid)
 
     # -- engine --------------------------------------------------------------
 
     def _complete_later(self, ev: Event, src: str, dst: str, nbytes: float,
                         start: float, dur: float) -> None:
         def _finisher(sim: Simulator):
-            if dur > 0:
-                yield sim.timeout(dur)
-            else:
-                yield sim.timeout(0.0)
+            yield sim.timeout(dur)
             ev.succeed(TransferStats(src, dst, int(nbytes), start, sim.now))
         self.sim.process(_finisher(self.sim), name="xfer-local")
+
+    def _arrive(self, flow: _Flow, path: List[Link]) -> None:
+        """Register ``flow`` now; its rate is set by this timestamp's flush."""
+        self._advance_progress()
+        self._flows[flow.fid] = flow
+        self.total_bytes += flow.nbytes
+        for link in path:
+            self._caps[link.key] = link.capacity
+        if not self._dirty:
+            self._dirty = True
+            self._timer.arm(0.0)
 
     def _advance_progress(self) -> None:
         now = self.sim.now
         dt = now - self._last_t
         if dt > 0:
+            link_bytes = self.link_bytes
             for fid, flow in self._flows.items():
-                rate = self._rates.get(fid, 0.0)
-                moved = rate * dt
+                moved = self._rates.get(fid, 0.0) * dt
                 flow.remaining -= moved
-                for link in flow.links:
-                    self.link_bytes[link.key] = (
-                        self.link_bytes.get(link.key, 0.0) + moved)
+                for key in flow.keys:
+                    link_bytes[key] = link_bytes.get(key, 0.0) + moved
         self._last_t = now
 
     def _reallocate(self) -> None:
         """Advance progress, complete finished flows, recompute rates."""
+        self._dirty = False
         self._advance_progress()
         # complete flows that drained
         done = [f for f in self._flows.values() if f.remaining <= _EPS_BYTES]
@@ -179,19 +198,11 @@ class NetworkSim:
             self._rates.pop(flow.fid, None)
             flow.event.succeed(TransferStats(
                 flow.src, flow.dst, int(flow.nbytes), flow.start, self.sim.now))
-        if done:
-            # completions can cascade new transfers synchronously; rates are
-            # recomputed below for whatever set remains right now.
-            pass
         if not self._flows:
             self._rates = {}
             return
-        specs = [
-            FlowSpec(fid, tuple(l.key for l in f.links), f.limit, f.weight)
-            for fid, f in self._flows.items()
-        ]
-        caps = {l.key: l.capacity for f in self._flows.values() for l in f.links}
-        self._rates = allocate_rates(specs, caps)
+        self._rates = allocate_rates(
+            [f.spec for f in self._flows.values()], self._caps)
         self._schedule_next_completion()
 
     def _schedule_next_completion(self) -> None:
@@ -200,16 +211,9 @@ class NetworkSim:
             rate = self._rates.get(fid, 0.0)
             if rate > 0:
                 next_dt = min(next_dt, flow.remaining / rate)
-        if next_dt is float("inf"):
+        if math.isinf(next_dt):
             raise NetworkError("active flows exist but none can make progress")
         # Clamp up to a representable step so residual sub-ulp transfer
         # times cannot stall the clock (see FluidResource._reschedule).
         next_dt = max(next_dt, 4.0 * math.ulp(max(abs(self.sim.now), 1.0)))
-        self._timer_gen += 1
-        gen = self._timer_gen
-
-        def _waker(sim: Simulator):
-            yield sim.timeout(max(next_dt, 0.0))
-            if gen == self._timer_gen:
-                self._reallocate()
-        self.sim.process(_waker(self.sim), name="net-waker")
+        self._timer.arm(next_dt)

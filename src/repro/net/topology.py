@@ -45,17 +45,15 @@ class Link:
     v: str
     capacity: float
     latency: float = us(5)
+    #: canonical dictionary key for this link, built once
+    key: LinkKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.capacity <= 0:
             raise ValueError("link capacity must be positive")
         if self.latency < 0:
             raise ValueError("link latency must be nonnegative")
-
-    @property
-    def key(self) -> LinkKey:
-        """Canonical dictionary key for this link."""
-        return _lk(self.u, self.v)
+        self.key = _lk(self.u, self.v)
 
 
 class Topology:

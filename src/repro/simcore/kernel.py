@@ -19,7 +19,7 @@ from ..common.errors import SimulationError
 from ..common.pqueue import IndexedHeap
 from .events import AllOf, AnyOf, Event, Interrupt, PENDING, Timeout
 
-__all__ = ["Simulator", "Process", "NORMAL", "URGENT"]
+__all__ = ["Simulator", "Process", "Timer", "NORMAL", "URGENT"]
 
 #: Priority for ordinary events.
 NORMAL = 1
@@ -203,6 +203,16 @@ class Simulator:
         self._seq += 1
         self._queue.push(event, (self.now + delay, priority, self._seq))
 
+    def cancel(self, event: Event) -> None:
+        """Drop a triggered event from the queue before it is processed.
+
+        Its callbacks never run.  Cancelling an event that is not queued
+        (already processed, cancelled, or never triggered) raises.
+        """
+        if event not in self._queue:
+            raise SimulationError(f"cannot cancel {event!r}: not queued")
+        self._queue.remove(event)
+
     def peek(self) -> float:
         """Time of the next event, or ``inf`` if the queue is empty."""
         if not self._queue:
@@ -264,3 +274,30 @@ class Simulator:
             return event.value
         event.defused = True
         raise event.value
+
+
+class Timer:
+    """A re-armable callback: at most one firing of ``fn()`` is queued.
+
+    :meth:`arm` cancels the pending firing, if any, before queueing the new
+    one, so a re-armed timer never fires stale.  Fluid models use it for
+    "recompute at the next completion".
+    """
+
+    __slots__ = ("sim", "fn", "_event")
+
+    def __init__(self, sim: Simulator, fn: Callable[[], None]) -> None:
+        self.sim = sim
+        self.fn = fn
+        self._event: Optional[Timeout] = None
+
+    def arm(self, delay: float) -> None:
+        """Fire ``fn()`` ``delay`` seconds from now, replacing any pending firing."""
+        if self._event is not None:
+            self.sim.cancel(self._event)
+        self._event = ev = Timeout(self.sim, delay)
+        ev.callbacks.append(self._fire)
+
+    def _fire(self, event: Event) -> None:
+        self._event = None
+        self.fn()

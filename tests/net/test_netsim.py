@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.common.units import Gbit_per_s, MB
-from repro.net import NetworkSim, dumbbell, fat_tree, star
-from repro.simcore import Simulator
+from repro.cluster import FluidResource
+from repro.common.errors import NetworkError
+from repro.common.units import Gbit_per_s, KB, MB
+from repro.net import NetworkSim, dumbbell, fat_tree, netsim, star
+from repro.simcore import Simulator, Timer
 
 
 def make(topo):
@@ -117,3 +119,94 @@ class TestAccounting:
         sim.run()
         assert all(e.triggered and e.ok for e in evs)
         assert net.active_flows == 0
+
+
+class TestErrors:
+    @pytest.mark.parametrize("limit", [0.0, -1.0])
+    def test_nonpositive_limit_rejected(self, limit):
+        sim, net = make(star(2))
+        with pytest.raises(NetworkError):
+            net.transfer("h0", "h1", 1000, limit=limit)
+
+    def test_flows_that_cannot_progress_raise(self, monkeypatch):
+        monkeypatch.setattr(netsim, "allocate_rates",
+                            lambda flows, caps: {f.flow_id: 0.0 for f in flows})
+        sim, net = make(star(2))
+        net.transfer("h0", "h1", 1000)
+        with pytest.raises(NetworkError):
+            sim.run(until=1.0)
+
+
+def _spy_allocations(monkeypatch, sim):
+    """Record ``(sim.now, number of flows)`` per ``allocate_rates`` call."""
+    calls = []
+    real = netsim.allocate_rates
+
+    def spy(flows, caps):
+        calls.append((sim.now, len(flows)))
+        return real(flows, caps)
+    monkeypatch.setattr(netsim, "allocate_rates", spy)
+    return calls
+
+
+class TestReallocation:
+    def test_same_time_burst_allocates_once(self, monkeypatch):
+        sim, net = make(star(9))
+        calls = _spy_allocations(monkeypatch, sim)
+        evs = [net.transfer(f"h{i}", "h8", MB(1)) for i in range(8)]
+        sim.run()
+        # all eight arrive together and, sharing h8's uplink equally,
+        # drain together: one allocation for the whole burst
+        assert [n for _, n in calls] == [8]
+        assert len({ev.value.end for ev in evs}) == 1
+
+    def test_one_allocation_per_timestamp(self, monkeypatch):
+        sim, net = make(star(6))
+        calls = _spy_allocations(monkeypatch, sim)
+
+        def waves(sim):
+            for size in (MB(4), MB(2), MB(1)):
+                for i in range(3):
+                    net.transfer(f"h{i}", f"h{i + 3}", size)
+                yield sim.timeout(1e-3)
+        sim.process(waves(sim))
+        sim.run()
+        times = [t for t, _ in calls]
+        assert len(times) == len(set(times))
+        assert [n for _, n in calls[:3]] == [3, 6, 9]
+
+    def test_timers_never_pile_up_or_fire_stale(self, monkeypatch):
+        fired = []
+        real_fire = Timer._fire
+
+        def checked_fire(timer, event):
+            assert event is timer._event, "a re-armed timer fired"
+            fired.append(timer)
+            real_fire(timer, event)
+        monkeypatch.setattr(Timer, "_fire", checked_fire)
+
+        sim, net = make(dumbbell(3, 3, bottleneck_bw=Gbit_per_s(1)))
+        disk = FluidResource(sim, MB(100))
+        timers = (net._timer, disk._timer)
+        peak = {timer: 0 for timer in timers}
+
+        class Probe:
+            def on_event(self, sim, event, t):
+                for timer in timers:
+                    queued = sum(
+                        1 for _, ev in sim._queue._heap
+                        if ev.callbacks and any(
+                            getattr(cb, "__self__", None) is timer
+                            for cb in ev.callbacks))
+                    peak[timer] = max(peak[timer], queued)
+        sim.attach_observer(Probe())
+
+        def client(sim, i):
+            yield sim.timeout(i * 1e-4)
+            yield net.transfer(f"l{i % 3}", f"r{(i + 1) % 3}", KB(64) * (i + 1))
+            yield disk.submit(KB(256) * (i % 4 + 1))
+        for i in range(12):
+            sim.process(client(sim, i))
+        sim.run()
+        assert set(fired) == set(timers)
+        assert peak == {timer: 1 for timer in timers}

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.simcore import Interrupt, Simulator
+from repro.simcore import Interrupt, Simulator, Timer
 
 
 def test_timeout_advances_clock():
@@ -311,3 +311,38 @@ def test_empty_condition_fires_immediately():
     proc = sim.process(p(sim))
     sim.run()
     assert proc.value == {}
+
+
+def test_cancel_drops_pending_event():
+    sim = Simulator()
+    fired = []
+    ev = sim.timeout(2.0)
+    ev.callbacks.append(fired.append)
+    sim.timeout(1.0)
+    sim.cancel(ev)
+    sim.run()
+    assert fired == [] and sim.now == 1.0
+    assert sim.events_processed == 1
+
+
+def test_cancel_processed_event_raises():
+    sim = Simulator()
+    ev = sim.timeout(1.0)
+    sim.run()
+    with pytest.raises(SimulationError):
+        sim.cancel(ev)
+    with pytest.raises(SimulationError):
+        sim.cancel(sim.event())          # never triggered, so never queued
+
+
+def test_rearmed_timer_fires_once_at_the_last_deadline():
+    sim = Simulator()
+    fired = []
+    timer = Timer(sim, lambda: fired.append(sim.now))
+    timer.arm(5.0)
+    timer.arm(2.0)
+    sim.run()
+    assert fired == [2.0] and sim.now == 2.0
+    timer.arm(1.0)                       # armable again after firing
+    sim.run()
+    assert fired == [2.0, 3.0]
