@@ -243,9 +243,13 @@ def check_microbatch(seed: int, plan: Optional[FaultPlan] = None) -> OracleRepor
                                  mean_duration=6.0)
     report = OracleReport("microbatch", seed, plan)
     report.injections = sum(1 for e in plan if e.kind == "load_burst")
+    # admission at the base rate: bursts above it are shed, exactly
+    # accounted
     cfg = MicroBatchConfig(batch_interval=1.0, per_record_cost=2e-4,
-                           parallelism=2, backpressure=True,
-                           backlog_threshold=2, throttle_factor=0.5)
+                           parallelism=2,
+                           admission=AdmissionConfig(rate=2000.0,
+                                                     burst=4000.0,
+                                                     max_backlog=2))
     duration = 60.0
 
     def base_rate(t: float) -> float:
@@ -257,12 +261,12 @@ def check_microbatch(seed: int, plan: Optional[FaultPlan] = None) -> OracleRepor
     r2 = run_microbatch(rate, cfg, duration)
     offered = sum(int(max(0, round(rate(float(t)) * cfg.batch_interval)))
                   for t in np.arange(0.0, duration, cfg.batch_interval))
-    report.expect(r1.processed_records + r1.dropped_records == offered,
+    report.expect(r1.processed_records + r1.shed_records == offered,
                   "record_conservation")
     report.expect(
-        _bytes((r1.processed_records, r1.dropped_records, r1.max_backlog,
+        _bytes((r1.processed_records, r1.shed_records, r1.max_backlog,
                 r1.batch_times, r1.latency.count))
-        == _bytes((r2.processed_records, r2.dropped_records, r2.max_backlog,
+        == _bytes((r2.processed_records, r2.shed_records, r2.max_backlog,
                    r2.batch_times, r2.latency.count)),
         "result_determinism")
     report.expect(all(bt > cfg.scheduling_overhead for bt in r1.batch_times),
@@ -270,13 +274,15 @@ def check_microbatch(seed: int, plan: Optional[FaultPlan] = None) -> OracleRepor
     # latency is weighted by batch size: one latency observation per record
     report.expect(r1.latency.count == r1.processed_records,
                   "backlog_conservation")
-    # typed-counter flow conservation: in == out + inflight (0 at shutdown)
+    # typed-counter flow conservation: in == out + inflight + shed
+    # (inflight 0 at shutdown)
     reg = r1.registry
     report.expect(
         reg is not None
         and reg.value("stream.records_in")
         == reg.value("stream.records_out")
         + reg.value("stream.records_inflight")
+        + reg.value("stream.records_shed")
         and reg.value("stream.records_inflight") == 0,
         "registry_flow_conservation")
     return report

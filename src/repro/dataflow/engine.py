@@ -829,7 +829,9 @@ class SimEngine:
             self._launch(stage, split, node_name, attempts, metrics, inbox,
                          per_partition, speculative=False,
                          stage_span=stage_span)
-        pending.extend(deferred)
+        # back at the head, in order: a tick that launches nothing must
+        # leave the FIFO as it found it
+        pending.extendleft(reversed(deferred))
 
     def _launch(self, stage: Stage, split: int, node_name: str, attempts,
                 metrics: JobMetrics, inbox: Store, per_partition,

@@ -8,7 +8,7 @@ scale to pin their report keys.  The guarded numbers themselves live in
 
 import pytest
 
-from repro.bench.perfsuite import (
+from benchmarks.perfsuite import (
     _interleave,
     _retry_below,
     measure_integrity_overhead,

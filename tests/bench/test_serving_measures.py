@@ -6,7 +6,7 @@ per-tenant conservation invariant, and that the chaos sweep classifies
 every seed.
 """
 
-from repro.bench.perfsuite import (
+from benchmarks.perfsuite import (
     SCHEMA_VERSION,
     SERVE_MIXES,
     measure_multi_tenant_serving,

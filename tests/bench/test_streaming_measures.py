@@ -5,7 +5,7 @@ Tiny scales only — the full-scale numbers and guards live in
 byte-identity invariant, and that the binary search lands a sane knee.
 """
 
-from repro.bench.perfsuite import (
+from benchmarks.perfsuite import (
     SCHEMA_VERSION,
     measure_sustained_throughput,
     measure_windowed_aggregation,

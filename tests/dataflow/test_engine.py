@@ -134,6 +134,39 @@ class TestIdleStageWaits:
         assert fine[2] == coarse[2]         # result, in order
 
 
+class TestSlotBoundStageOrder:
+    """A stage with more splits than slots arms the poll timer; a tick
+    that finds no free slot must leave the pending FIFO untouched, so
+    the poll period cannot change which split launches next."""
+
+    def _run(self, check_interval):
+        cost = CostModel(cpu_per_record=1e-2, task_overhead=5e-3)
+        cfg = EngineConfig(speculation=False, locality_wait=0.0,
+                           resilience=None, check_interval=check_interval)
+        sim, cl, ctx, eng = make_env(1, 2, config=cfg, cost=cost)
+        launches = []
+        launch = eng._launch
+
+        def record(stage, split, node_name, *args, **kw):
+            launches.append((sim.now, stage.stage_id, split, node_name))
+            return launch(stage, split, node_name, *args, **kw)
+        eng._launch = record
+        # 24 splits of uneven size on 8 slots: launch order moves the
+        # makespan
+        data = [x for p in range(24) for x in [p] * (5 + (p * 7) % 23)]
+        ds = (ctx.parallelize(data, 24).map(lambda x: (x % 5, x))
+              .reduce_by_key(operator.add, 4))
+        res = sim.run_until_done(eng.collect(ds))
+        return res.value, res.metrics.duration, launches
+
+    def test_check_interval_does_not_change_the_run(self):
+        runs = [self._run(ci) for ci in (0.01, 0.1, 10.0)]
+        for value, makespan, launches in runs[1:]:
+            assert value == runs[0][0]
+            assert makespan == runs[0][1]
+            assert launches == runs[0][2]
+
+
 class TestFaultTolerance:
     def test_node_loss_mid_job_correct_result(self):
         sim, cl, ctx, eng = make_env(cost=BUSY)
