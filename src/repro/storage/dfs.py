@@ -244,12 +244,16 @@ class DistributedFS:
         nodes = self._choose_replica_nodes(writer, self.config.replication)
         # pipelined: the client streams to replica 1 which streams to 2, ...
         # modeled as concurrent hop transfers plus a disk write per replica.
+        # every replica holds the same bytes, so they share one seal
+        seal = None
+        if data is not None and self.config.checksums:
+            seal = integrity.seal(data, self.config.chunk_size)
         pending = []
         prev = writer
         for r, node in enumerate(nodes):
             block.locations[r] = node
             if data is not None:
-                self._store_piece(block.block_id, r, data)
+                self._store_piece(block.block_id, r, data, seal)
             pending.append(self.cluster.transfer(prev, node, block.size))
             pending.append(self.cluster.nodes[node].disk_write(block.size))
             prev = node
@@ -528,12 +532,18 @@ class DistributedFS:
                 return slot
         return None
 
-    def _store_piece(self, block_id: int, slot: int, data: bytes) -> None:
-        """Store one replica/fragment payload, sealing it when enabled."""
+    def _store_piece(self, block_id: int, slot: int, data: bytes,
+                     seal: Optional[integrity.Seal] = None) -> None:
+        """Store one replica/fragment payload, sealing it when enabled.
+
+        ``seal``, when given, must be the seal of ``data``; it is stored
+        as is instead of checksumming the bytes again.
+        """
         self._content[(block_id, slot)] = data
         if self.config.checksums:
-            self._seals[(block_id, slot)] = integrity.seal(
-                data, self.config.chunk_size)
+            if seal is None:
+                seal = integrity.seal(data, self.config.chunk_size)
+            self._seals[(block_id, slot)] = seal
 
     def _copy_piece(self, block_id: int, src_slot: int, dst_slot: int) -> None:
         """Clone a verified piece (bytes + seal) into another slot."""

@@ -1,9 +1,15 @@
 """Arithmetic over GF(2^8), vectorized with numpy.
 
 The field is built on the AES polynomial x^8 + x^4 + x^3 + x + 1 (0x11B)
-with generator 3.  Multiplication/division go through log/exp tables so
-bulk operations on byte arrays are table lookups — the standard trick that
-makes pure-Python erasure coding fast enough for experiments.
+with generator 3.  Scalar multiplication/division go through log/exp
+tables.  Bulk products go through ``MUL_TABLE``, the full 256×256 product
+table (64 KiB, built once at import from the log/exp tables): multiplying
+a byte array by a constant ``c`` is one gather from row ``c``, which is
+what makes pure-Python erasure coding fast enough for experiments.
+
+Every scalar element and every ``gf_mul_bytes`` constant must lie in
+0..255; anything else raises :class:`ValueError` instead of indexing the
+tables from the end.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "GF_POLY", "EXP_TABLE", "LOG_TABLE",
+    "GF_POLY", "EXP_TABLE", "LOG_TABLE", "MUL_TABLE",
     "gf_add", "gf_mul", "gf_div", "gf_inv", "gf_pow",
     "gf_mul_bytes", "gf_matmul", "gf_mat_inv",
 ]
@@ -38,7 +44,22 @@ def _build_tables():
     return exp, log
 
 
+def _build_mul_table(exp, log):
+    logs = log[1:]
+    table = np.zeros((256, 256), dtype=np.uint8)
+    table[1:, 1:] = exp[logs[:, None] + logs[None, :]]
+    return table
+
+
 EXP_TABLE, LOG_TABLE = _build_tables()
+#: ``MUL_TABLE[a, b]`` is the product a·b; row 0 and column 0 are zero.
+MUL_TABLE = _build_mul_table(EXP_TABLE, LOG_TABLE)
+
+
+def _check(*elements) -> None:
+    for x in elements:
+        if not 0 <= x <= 255:
+            raise ValueError(f"{x!r} is not an element of GF(256)")
 
 
 def gf_add(a, b):
@@ -48,6 +69,7 @@ def gf_add(a, b):
 
 def gf_mul(a: int, b: int) -> int:
     """Scalar product of two field elements."""
+    _check(a, b)
     if a == 0 or b == 0:
         return 0
     return int(EXP_TABLE[int(LOG_TABLE[a]) + int(LOG_TABLE[b])])
@@ -55,6 +77,7 @@ def gf_mul(a: int, b: int) -> int:
 
 def gf_inv(a: int) -> int:
     """Multiplicative inverse; raises on zero."""
+    _check(a)
     if a == 0:
         raise ZeroDivisionError("0 has no inverse in GF(256)")
     return int(EXP_TABLE[_ORDER - int(LOG_TABLE[a])])
@@ -62,6 +85,7 @@ def gf_inv(a: int) -> int:
 
 def gf_div(a: int, b: int) -> int:
     """Scalar quotient a / b."""
+    _check(a, b)
     if b == 0:
         raise ZeroDivisionError("division by zero in GF(256)")
     if a == 0:
@@ -71,6 +95,7 @@ def gf_div(a: int, b: int) -> int:
 
 def gf_pow(a: int, n: int) -> int:
     """Scalar power a**n (n may be any integer; 0**0 == 1)."""
+    _check(a)
     if n == 0:
         return 1
     if a == 0:
@@ -80,38 +105,26 @@ def gf_pow(a: int, n: int) -> int:
 
 def gf_mul_bytes(c: int, data: np.ndarray) -> np.ndarray:
     """Multiply every byte of ``data`` by the constant ``c`` (vectorized)."""
-    data = np.asarray(data, dtype=np.uint8)
-    if c == 0:
-        return np.zeros_like(data)
-    if c == 1:
-        return data.copy()
-    log_c = int(LOG_TABLE[c])
-    out = np.zeros_like(data)
-    nz = data != 0
-    out[nz] = EXP_TABLE[LOG_TABLE[data[nz]] + log_c]
-    return out
+    _check(c)
+    return MUL_TABLE[c].take(np.asarray(data, dtype=np.uint8))
 
 
 def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product over GF(2^8).
 
     ``a`` is (m, k), ``b`` is (k, n); returns (m, n).  Vectorized by rows:
-    each output row is the XOR of constant-multiplied rows of ``b``.
+    each output row is the XOR of constant-multiplied rows of ``b``, each
+    product one gather from ``MUL_TABLE`` XORed into the row in place.
     """
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} x {b.shape}")
-    m, k = a.shape
-    n = b.shape[1]
-    out = np.zeros((m, n), dtype=np.uint8)
-    for i in range(m):
-        acc = np.zeros(n, dtype=np.uint8)
-        for j in range(k):
-            coeff = int(a[i, j])
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
+    for row, coeffs in zip(out, a.tolist()):
+        for coeff, src in zip(coeffs, b):
             if coeff:
-                acc ^= gf_mul_bytes(coeff, b[j])
-        out[i] = acc
+                row ^= MUL_TABLE[coeff].take(src)
     return out
 
 

@@ -103,7 +103,7 @@ class RSCode:
         if rows.shape[1] != frag:
             raise ValueError(
                 f"fragment size {rows.shape[1]} != expected {frag}")
-        if all(i < self.k for i in idxs) and idxs == list(range(self.k)):
+        if idxs == list(range(self.k)):
             data = rows.reshape(-1)
         else:
             sub = self._matrix[idxs]           # k×k, invertible by Cauchy

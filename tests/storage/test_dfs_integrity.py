@@ -248,3 +248,12 @@ class TestAccounting:
         t0, d0 = sim.now, fs.integrity_detected
         assert fs.audit_integrity() == [(block.block_id, 0)]
         assert sim.now == t0 and fs.integrity_detected == d0
+
+    def test_replicas_of_a_block_share_one_seal(self):
+        # a replicated write checksums each block once, not once per copy
+        sim, cl, fs = setup()
+        write(sim, fs, "/f", payload())
+        block = fs.blocks_of("/f")[0]
+        seals = [fs._seals[block.block_id, r] for r in sorted(block.locations)]
+        assert len(seals) == fs.config.replication
+        assert all(s is seals[0] for s in seals)

@@ -1,4 +1,9 @@
-"""GF(2^8) field arithmetic: axioms and known vectors."""
+"""GF(2^8) field arithmetic: axioms, known vectors and the product table.
+
+The bulk kernels (``gf_mul_bytes``, ``gf_matmul``) gather from
+``MUL_TABLE``; the log/exp masked kernels below are the reference they
+must match byte for byte.
+"""
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from hypothesis import strategies as st
 from repro.storage.gf256 import (
     EXP_TABLE,
     LOG_TABLE,
+    MUL_TABLE,
     gf_add,
     gf_div,
     gf_inv,
@@ -20,6 +26,25 @@ from repro.storage.gf256 import (
 
 elem = st.integers(0, 255)
 nonzero = st.integers(1, 255)
+
+
+def masked_mul_bytes(c, data):
+    """Reference: multiply the nonzero bytes through the log/exp tables."""
+    data = np.asarray(data, dtype=np.uint8)
+    out = np.zeros_like(data)
+    if c:
+        nz = data != 0
+        out[nz] = EXP_TABLE[LOG_TABLE[data[nz]] + int(LOG_TABLE[c])]
+    return out
+
+
+def masked_matmul(a, b):
+    """Reference matrix product built on :func:`masked_mul_bytes`."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
+    for i in range(a.shape[0]):
+        for j in range(a.shape[1]):
+            out[i] ^= masked_mul_bytes(int(a[i, j]), b[j])
+    return out
 
 
 class TestKnownVectors:
@@ -120,3 +145,63 @@ class TestVectorized:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             gf_mat_inv(np.zeros((2, 3), np.uint8))
+
+
+class TestProductTable:
+    def test_every_pair_matches_scalar_mul(self):
+        assert MUL_TABLE.shape == (256, 256)
+        assert MUL_TABLE.dtype == np.uint8
+        for a in range(256):
+            assert MUL_TABLE[a].tolist() == [gf_mul(a, b) for b in range(256)]
+
+    def test_mul_bytes_matches_masked_reference_for_every_constant(self):
+        rng = np.random.default_rng(3)
+        data = np.concatenate([
+            np.arange(256, dtype=np.uint8),
+            rng.integers(0, 256, size=(2, 300), dtype=np.uint8).reshape(-1)])
+        for c in range(256):
+            got = gf_mul_bytes(c, data)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, masked_mul_bytes(c, data)), c
+
+    def test_mul_bytes_keeps_shape_and_copies(self):
+        data = np.arange(12, dtype=np.uint8).reshape(3, 4)
+        for c in (0, 1, 7):
+            got = gf_mul_bytes(c, data)
+            assert got.shape == data.shape
+            assert np.array_equal(got, masked_mul_bytes(c, data))
+            assert not np.shares_memory(got, data)
+        assert gf_mul_bytes(5, np.zeros(0, np.uint8)).shape == (0,)
+
+    def test_matmul_matches_masked_reference(self):
+        rng = np.random.default_rng(4)
+        for _ in range(60):
+            m, k, n = (int(x) for x in rng.integers(0, 7, size=3))
+            a = rng.integers(0, 256, size=(m, k), dtype=np.uint8)
+            b = rng.integers(0, 256, size=(k, n), dtype=np.uint8)
+            # zero and unit coefficients, and all-zero rows on both sides
+            a[rng.random((m, k)) < 0.25] = 0
+            a[rng.random((m, k)) < 0.25] = 1
+            if m:
+                a[rng.integers(m)] = 0
+            if k:
+                b[rng.integers(k)] = 0
+            got = gf_matmul(a, b)
+            assert got.shape == (m, n)
+            assert np.array_equal(got, masked_matmul(a, b)), (m, k, n)
+
+
+class TestOutsideTheField:
+    @pytest.mark.parametrize("bad", [-1, 256])
+    def test_scalar_ops_reject(self, bad):
+        for call in (lambda: gf_mul(bad, 2), lambda: gf_mul(2, bad),
+                     lambda: gf_inv(bad),
+                     lambda: gf_div(bad, 3), lambda: gf_div(3, bad),
+                     lambda: gf_pow(bad, 2)):
+            with pytest.raises(ValueError):
+                call()
+
+    @pytest.mark.parametrize("bad", [-1, 256])
+    def test_mul_bytes_rejects_constant(self, bad):
+        with pytest.raises(ValueError):
+            gf_mul_bytes(bad, np.arange(8, dtype=np.uint8))
